@@ -32,9 +32,11 @@ bench:
 # sanity-checks BENCH_engine.json (work-stealing + the million-client
 # constant-memory client_scaling record, asserted by TestEngineBenchJSON)
 # and BENCH_compute.json (schema + speedup + allocation gates asserted
-# by TestComputeBenchJSON).
+# by TestComputeBenchJSON). This is the only target that rewrites the
+# two tracked records (-update-bench); plain `go test` asserts the same
+# gates without touching them.
 bench-smoke:
-	$(GO) test -bench 'EngineRoundLoop|NestedGridSteal|ComputeGEMM|ComputeConv|ComputeElemwise' -benchtime=1x -run 'TestEngineBenchJSON|TestComputeBenchJSON' .
+	$(GO) test -bench 'EngineRoundLoop|NestedGridSteal|ComputeGEMM|ComputeConv|ComputeElemwise' -benchtime=1x -run 'TestEngineBenchJSON|TestComputeBenchJSON' . -args -update-bench
 
 # Fuzz the cell-key codec (the identity under artifact files, shard
 # assignment and cache addressing) with the native fuzzing engine.

@@ -13,6 +13,7 @@ package feddrl
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -33,6 +34,25 @@ import (
 )
 
 var printOnce sync.Map
+
+// updateBench makes TestEngineBenchJSON and TestComputeBenchJSON write
+// their records to the tracked BENCH_engine.json / BENCH_compute.json
+// (`make bench-smoke` passes it). Without it the tests still measure
+// and assert everything, but leave the files alone, so a plain
+// `go test ./...` never rewrites them with the current host's numbers.
+var updateBench = flag.Bool("update-bench", false, "write BENCH_engine.json and BENCH_compute.json")
+
+// writeBenchRecord writes buf to the named record file when
+// -update-bench is set, and logs it either way.
+func writeBenchRecord(t *testing.T, name string, buf []byte) {
+	t.Helper()
+	if *updateBench {
+		if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%s: %s", name, buf)
+}
 
 // runExperimentBench executes a registered experiment b.N times and
 // prints its output the first time it runs in this process.
@@ -599,8 +619,8 @@ func measureClientScaling(clients int) uint64 {
 }
 
 // TestEngineBenchJSON times the round loop at several engine widths and
-// writes BENCH_engine.json, the machine-readable record of the engine's
-// scaling on this host. On a single-core host the expected speedup is
+// builds BENCH_engine.json (written under -update-bench), the
+// machine-readable record of the engine's scaling on this host. On a single-core host the expected speedup is
 // ~1.0 by physics; the JSON records GOMAXPROCS so downstream tooling can
 // tell "no cores" from "no scaling".
 //
@@ -712,10 +732,7 @@ func TestEngineBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_engine.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_engine.json: %s", buf)
+	writeBenchRecord(t, "BENCH_engine.json", buf)
 	// Sanity: every width must have produced a measurement.
 	for _, c := range cases {
 		if c.NsPerRun <= 0 {
@@ -1002,7 +1019,8 @@ func warmTrainStepAllocs(net *nn.Network, in int) float64 {
 
 // TestComputeBenchJSON measures the compute hot path — blocked-vs-naive
 // GEMM at every paper-relevant shape, conv forward/backward, and warm
-// train-step allocations — and writes BENCH_compute.json. It enforces
+// train-step allocations — and builds BENCH_compute.json (written under
+// -update-bench). It enforces
 // the kernel acceptance gates: ≥1.5× blocked speedup at the largest
 // shape on the AVX backend, and zero allocations on warm train steps.
 func TestComputeBenchJSON(t *testing.T) {
@@ -1168,10 +1186,7 @@ func TestComputeBenchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_compute.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("BENCH_compute.json: %s", buf)
+	writeBenchRecord(t, "BENCH_compute.json", buf)
 
 	// Schema sanity: every shape measured, conv timed, backend named.
 	validBackend := map[string]bool{"avx512": true, "avx": true, "neon": true, "generic": true}

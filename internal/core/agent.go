@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"feddrl/internal/mathx"
 	"feddrl/internal/nn"
@@ -30,7 +31,46 @@ type Agent struct {
 
 	// exploreScale decays multiplicatively with every exploratory action.
 	exploreScale float64
+
+	ts trainScratch
 }
+
+// trainScratch holds Train's reusable state: one nn.Scratch arena per
+// network and the batch-shaped buffers around them, so a warm Train
+// step performs no heap allocation. Every buffer is fully overwritten
+// before it is read.
+type trainScratch struct {
+	policy, policyT, value, valueT *nn.Scratch
+
+	mse     nn.MSE
+	batch   []replay.Experience
+	prio    []float64
+	targets []float64
+	clamped []bool
+
+	s, in, act, dRaw, up mat2D
+}
+
+// mat2D is a reusable matrix: a tensor header over a backing slice that
+// grows only when a larger shape is requested.
+type mat2D struct {
+	t    tensor.Tensor
+	data []float64
+}
+
+// shape rebinds m to (rows, cols). Contents are unspecified.
+func (m *mat2D) shape(rows, cols int) *tensor.Tensor {
+	if cap(m.data) < rows*cols {
+		m.data = make([]float64, rows*cols)
+	}
+	return m.t.Bind2D(m.data[:rows*cols], rows, cols)
+}
+
+// reprioChunk bounds the rows of one batched reprioritize forward, so
+// the value network's arena stays small however full the buffer is.
+// Per-row results do not depend on the batch size (the GEMM kernels'
+// k-ascending contract), so chunking cannot change a priority.
+const reprioChunk = 256
 
 // NewAgent builds an agent from the configuration.
 func NewAgent(cfg Config) *Agent {
@@ -47,6 +87,8 @@ func NewAgent(cfg Config) *Agent {
 
 		exploreScale: 1,
 	}
+	a.ts.policy, a.ts.policyT = nn.NewScratch(), nn.NewScratch()
+	a.ts.value, a.ts.valueT = nn.NewScratch(), nn.NewScratch()
 	a.popt = nn.NewAdam(cfg.PolicyLR)
 	a.vopt = nn.NewAdam(cfg.ValueLR)
 	a.popt.MaxGradNorm = cfg.MaxGradNorm
@@ -100,38 +142,38 @@ func BuildState(cfg Config, lossesBefore, lossesAfter []float64, sampleCounts []
 }
 
 // actionTransform converts raw policy outputs (batch, 2K) into
-// constrained actions in place of a fresh tensor, recording the chain
-// needed for backprop: μ_k = raw_k; σ_k = min(softplus(raw_{K+k}), β·|μ_k|).
-func (a *Agent) actionTransform(raw *tensor.Tensor) (act *tensor.Tensor, clamped []bool) {
+// constrained actions written to act (same shape), recording in clamped
+// (batch·K, or nil when no backprop follows) the chain needed for
+// backprop: μ_k = raw_k; σ_k = min(softplus(raw_{K+k}), β·|μ_k|).
+func (a *Agent) actionTransform(raw, act *tensor.Tensor, clamped []bool) {
 	k := a.cfg.K
-	batch := raw.Rows()
-	act = tensor.New(batch, 2*k)
-	clamped = make([]bool, batch*k)
-	for i := 0; i < batch; i++ {
+	for i := 0; i < raw.Rows(); i++ {
 		rr, ar := raw.Row(i), act.Row(i)
 		for j := 0; j < k; j++ {
 			mu := rr[j]
 			ar[j] = mu
 			sp := mathx.Softplus(rr[k+j])
 			bound := a.cfg.Beta * math.Abs(mu)
-			if sp > bound {
+			clamp := sp > bound
+			if clamp {
 				ar[k+j] = bound
-				clamped[i*k+j] = true
 			} else {
 				ar[k+j] = sp
 			}
+			if clamped != nil {
+				clamped[i*k+j] = clamp
+			}
 		}
 	}
-	return act, clamped
 }
 
-// actionBackward chains dQ/dAction to dQ/dRaw given the transform record.
-func (a *Agent) actionBackward(raw, dAct *tensor.Tensor, clamped []bool) *tensor.Tensor {
-	k := a.cfg.K
-	batch := raw.Rows()
-	dRaw := tensor.New(batch, 2*k)
-	for i := 0; i < batch; i++ {
-		rr, da, dr := raw.Row(i), dAct.Row(i), dRaw.Row(i)
+// actionBackward chains dQ/dAction to dQ/dRaw (written to dRaw) given
+// the transform record. dIn is the value network's input gradient; its
+// action columns start at StateDim.
+func (a *Agent) actionBackward(raw, dIn *tensor.Tensor, clamped []bool, dRaw *tensor.Tensor) {
+	k, sd := a.cfg.K, a.cfg.StateDim()
+	for i := 0; i < raw.Rows(); i++ {
+		rr, da, dr := raw.Row(i), dIn.Row(i)[sd:], dRaw.Row(i)
 		for j := 0; j < k; j++ {
 			dMu, dSigma := da[j], da[k+j]
 			dr[j] = dMu
@@ -149,7 +191,6 @@ func (a *Agent) actionBackward(raw, dAct *tensor.Tensor, clamped []bool) *tensor
 			}
 		}
 	}
-	return dRaw
 }
 
 // Act runs the main policy on one state and returns the constrained
@@ -169,8 +210,9 @@ func (a *Agent) Act(state []float64, explore bool) []float64 {
 		}
 		a.exploreScale *= a.cfg.ExploreDecay
 	}
-	act, _ := a.actionTransform(raw)
-	return append([]float64(nil), act.Row(0)...)
+	act := tensor.New(1, a.cfg.ActionDim())
+	a.actionTransform(raw, act, nil)
+	return act.Data
 }
 
 // ImpactFactors converts an action into the aggregation weights of
@@ -281,98 +323,133 @@ func (a *Agent) QValue(s, act []float64) float64 {
 	return a.value.Forward(x, false).At(0, 0)
 }
 
+// stateOf returns the experience's next state s′ when next, else s.
+func stateOf(e replay.Experience, next bool) []float64 {
+	if next {
+		return e.S2
+	}
+	return e.S
+}
+
+// fillInput writes the value-network input rows [s | act] of the batch
+// into the reusable input matrix: s per stateOf, act from acts when
+// non-nil, else each experience's stored action A.
+func (a *Agent) fillInput(batch []replay.Experience, next bool, acts *tensor.Tensor) *tensor.Tensor {
+	sd := a.cfg.StateDim()
+	in := a.ts.in.shape(len(batch), sd+a.cfg.ActionDim())
+	for i, e := range batch {
+		row := in.Row(i)
+		copy(row[:sd], stateOf(e, next))
+		if acts != nil {
+			copy(row[sd:], acts.Row(i))
+		} else {
+			copy(row[sd:], e.A)
+		}
+	}
+	return in
+}
+
+// states writes each experience's state (per stateOf) into the rows of
+// the reusable state matrix.
+func (a *Agent) states(batch []replay.Experience, next bool) *tensor.Tensor {
+	s := a.ts.s.shape(len(batch), a.cfg.StateDim())
+	for i, e := range batch {
+		copy(s.Row(i), stateOf(e, next))
+	}
+	return s
+}
+
+// tdErrors returns every buffered experience's TD error
+// r + γ·Q(s′, a) − Q(s, a) under the current value network, in buffer
+// order (Algorithm 1 lines 1–2), from two batched value-network
+// forwards per reprioChunk rows.
+func (a *Agent) tdErrors() []float64 {
+	ts := &a.ts
+	all := a.Buffer.All()
+	ts.prio = slices.Grow(ts.prio[:0], len(all))[:len(all)]
+	for c0 := 0; c0 < len(all); c0 += reprioChunk {
+		chunk := all[c0:min(c0+reprioChunk, len(all))]
+		prio := ts.prio[c0 : c0+len(chunk)]
+		q := a.value.ForwardScratch(ts.value, a.fillInput(chunk, true, nil), false)
+		for i, e := range chunk {
+			prio[i] = e.R
+			if !e.Done {
+				prio[i] += a.cfg.Gamma * q.Data[i]
+			}
+		}
+		q = a.value.ForwardScratch(ts.value, a.fillInput(chunk, false, nil), false)
+		for i := range chunk {
+			prio[i] -= q.Data[i]
+		}
+	}
+	return ts.prio
+}
+
 // targetQ computes r-independent bootstrap targets y = r + γ·Q′(s′, π′(s′))
 // for a batch (Algorithm 1 line 5).
 func (a *Agent) targetQ(batch []replay.Experience) []float64 {
-	n := len(batch)
-	sd := a.cfg.StateDim()
-	s2 := tensor.New(n, sd)
+	ts := &a.ts
+	raw := a.policyT.ForwardScratch(ts.policyT, a.states(batch, true), false)
+	act := ts.act.shape(len(batch), a.cfg.ActionDim())
+	a.actionTransform(raw, act, nil)
+	q := a.valueT.ForwardScratch(ts.valueT, a.fillInput(batch, true, act), false)
+	out := ts.targets[:0]
 	for i, e := range batch {
-		copy(s2.Row(i), e.S2)
-	}
-	raw := a.policyT.Forward(s2, false)
-	act, _ := a.actionTransform(raw)
-	qin := tensor.New(n, sd+a.cfg.ActionDim())
-	for i := 0; i < n; i++ {
-		copy(qin.Row(i)[:sd], s2.Row(i))
-		copy(qin.Row(i)[sd:], act.Row(i))
-	}
-	q := a.valueT.Forward(qin, false)
-	out := make([]float64, n)
-	for i, e := range batch {
-		out[i] = e.R
+		y := e.R
 		if !e.Done {
-			out[i] += a.cfg.Gamma * q.At(i, 0)
+			y += a.cfg.Gamma * q.At(i, 0)
 		}
+		out = append(out, y)
 	}
+	ts.targets = out
 	return out
 }
 
 // Train performs Algorithm 1: reprioritize the buffer by TD error, then
 // UpdatesPerRound iterations of value descent, policy ascent and soft
-// target updates. It is a no-op until ReadyToTrain.
+// target updates. It is a no-op until ReadyToTrain. Every forward and
+// backward runs on the networks' scratch arenas.
 func (a *Agent) Train() {
 	if !a.ReadyToTrain() {
 		return
 	}
+	ts := &a.ts
 	// Lines 1–2: TD-error priorities under the current networks.
-	a.Buffer.Reprioritize(func(e replay.Experience) float64 {
-		target := e.R
-		if !e.Done {
-			target += a.cfg.Gamma * a.QValue(e.S2, e.A)
-		}
-		return target - a.QValue(e.S, e.A)
-	})
-	sd, ad := a.cfg.StateDim(), a.cfg.ActionDim()
-	mse := nn.NewMSE()
+	a.Buffer.Reprioritize(a.tdErrors())
+	n := min(a.cfg.BatchSize, a.Buffer.Len())
+	if cap(ts.batch) < n {
+		ts.batch = make([]replay.Experience, n)
+		ts.clamped = make([]bool, n*a.cfg.K)
+	}
+	batch, clamped := ts.batch[:n], ts.clamped[:n*a.cfg.K]
 	for step := 0; step < a.cfg.UpdatesPerRound; step++ {
-		n := a.cfg.BatchSize
-		if bl := a.Buffer.Len(); n > bl {
-			n = bl
-		}
-		batch := a.Buffer.Sample(n)
+		a.Buffer.SampleInto(batch)
 		targets := a.targetQ(batch)
 
 		// Line 6: value descent on (Q(s,a) − y)².
-		qin := tensor.New(n, sd+ad)
-		for i, e := range batch {
-			copy(qin.Row(i)[:sd], e.S)
-			copy(qin.Row(i)[sd:], e.A)
-		}
-		pred := a.value.Forward(qin, true)
-		mse.Forward(pred, targets)
+		pred := a.value.ForwardScratch(ts.value, a.fillInput(batch, false, nil), true)
+		ts.mse.Forward(pred, targets)
 		a.value.ZeroGrads()
-		a.value.Backward(mse.Backward())
+		a.value.BackwardScratch(ts.value, ts.mse.Backward())
 		a.vopt.Step(a.value)
 		a.value.ZeroGrads()
 
 		// Line 7: policy ascent on mean Q(s, π(s)).
-		s := tensor.New(n, sd)
-		for i, e := range batch {
-			copy(s.Row(i), e.S)
-		}
-		raw := a.policy.Forward(s, true)
-		act, clamped := a.actionTransform(raw)
-		pin := tensor.New(n, sd+ad)
-		for i := 0; i < n; i++ {
-			copy(pin.Row(i)[:sd], s.Row(i))
-			copy(pin.Row(i)[sd:], act.Row(i))
-		}
-		a.value.Forward(pin, true)
+		raw := a.policy.ForwardScratch(ts.policy, a.states(batch, false), true)
+		act := ts.act.shape(n, a.cfg.ActionDim())
+		a.actionTransform(raw, act, clamped)
+		a.value.ForwardScratch(ts.value, a.fillInput(batch, false, act), true)
 		// dMeanQ/dQ_i = 1/n; ascend → feed −1/n and let Adam minimize.
-		up := tensor.New(n, 1)
+		up := ts.up.shape(n, 1)
 		for i := range up.Data {
 			up.Data[i] = -1.0 / float64(n)
 		}
 		a.value.ZeroGrads()
-		dIn := a.value.Backward(up)
-		dAct := tensor.New(n, ad)
-		for i := 0; i < n; i++ {
-			copy(dAct.Row(i), dIn.Row(i)[sd:])
-		}
-		dRaw := a.actionBackward(raw, dAct, clamped)
+		dIn := a.value.BackwardScratch(ts.value, up)
+		dRaw := ts.dRaw.shape(n, a.cfg.ActionDim())
+		a.actionBackward(raw, dIn, clamped, dRaw)
 		a.policy.ZeroGrads()
-		a.policy.Backward(dRaw)
+		a.policy.BackwardScratch(ts.policy, dRaw)
 		a.popt.Step(a.policy)
 		a.policy.ZeroGrads()
 		a.value.ZeroGrads() // discard critic grads from the policy pass

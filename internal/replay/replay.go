@@ -10,7 +10,7 @@ package replay
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"feddrl/internal/mathx"
 	"feddrl/internal/rng"
@@ -76,12 +76,15 @@ func (b *Buffer) Add(e Experience) bool {
 	return true
 }
 
-// Reprioritize recomputes every experience's priority with the supplied
-// function (typically the current TD error under the latest value
-// network) and re-sorts descending. This is Algorithm 1 lines 1–2.
-func (b *Buffer) Reprioritize(prio func(e Experience) float64) {
-	for i := range b.data {
-		p := prio(b.data[i])
+// Reprioritize sets every experience's priority to |prio[i]|, with prio
+// in buffer order (All) — typically the TD errors under the latest value
+// network, computed by the caller in one batched pass — and re-sorts
+// descending. This is Algorithm 1 lines 1–2.
+func (b *Buffer) Reprioritize(prio []float64) {
+	if len(prio) != len(b.data) {
+		panic(fmt.Sprintf("replay: Reprioritize with %d priorities for %d experiences", len(prio), len(b.data)))
+	}
+	for i, p := range prio {
 		if p < 0 {
 			p = -p
 		}
@@ -91,33 +94,42 @@ func (b *Buffer) Reprioritize(prio func(e Experience) float64) {
 }
 
 // SortByPriority sorts experiences by descending priority (stable so
-// ties keep insertion order).
+// ties keep insertion order). slices.SortStableFunc runs the same
+// insertion-sort + symMerge algorithm as sort.SliceStable without its
+// reflection allocations.
 func (b *Buffer) SortByPriority() {
-	sort.SliceStable(b.data, func(i, j int) bool { return b.data[i].Prior > b.data[j].Prior })
+	slices.SortStableFunc(b.data, func(x, y Experience) int {
+		switch {
+		case x.Prior > y.Prior:
+			return -1
+		case x.Prior < y.Prior:
+			return 1
+		}
+		return 0
+	})
 }
 
-// Sample draws n experiences rank-biased toward high priority: index
-// floor(u²·len) for u uniform, so the top of the sorted buffer is drawn
-// quadratically more often. Duplicates are allowed (sampling with
-// replacement), as in standard prioritized replay. It panics on an empty
-// buffer or non-positive n.
-func (b *Buffer) Sample(n int) []Experience {
+// SampleInto fills dst with len(dst) experiences drawn rank-biased
+// toward high priority: index floor(u²·len) for u uniform, so the top
+// of the sorted buffer is drawn quadratically more often. Duplicates are
+// allowed (sampling with replacement), as in standard prioritized
+// replay. Callers reuse dst across draws, so sampling allocates nothing.
+// It panics on an empty buffer or an empty dst.
+func (b *Buffer) SampleInto(dst []Experience) {
 	if len(b.data) == 0 {
-		panic("replay: Sample from empty buffer")
+		panic("replay: SampleInto from empty buffer")
 	}
-	if n <= 0 {
-		panic("replay: Sample with non-positive n")
+	if len(dst) == 0 {
+		panic("replay: SampleInto with empty dst")
 	}
-	out := make([]Experience, n)
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		u := b.r.Float64()
 		idx := int(u * u * float64(len(b.data)))
 		if idx >= len(b.data) {
 			idx = len(b.data) - 1
 		}
-		out[i] = b.data[idx]
+		dst[i] = b.data[idx]
 	}
-	return out
 }
 
 // All returns the stored experiences (shared backing array; callers must

@@ -82,7 +82,11 @@ func TestReprioritizeSorts(t *testing.T) {
 	}
 	// Priority = |S[0] - 2| → order by distance from 2, negative values
 	// must be folded to magnitude.
-	b.Reprioritize(func(e Experience) float64 { return e.S[0] - 2 })
+	prio := make([]float64, b.Len())
+	for i, e := range b.All() {
+		prio[i] = e.S[0] - 2
+	}
+	b.Reprioritize(prio)
 	all := b.All()
 	for i := 1; i < len(all); i++ {
 		if all[i].Prior > all[i-1].Prior {
@@ -102,7 +106,9 @@ func TestSampleBiasTowardHighPriority(t *testing.T) {
 	b.SortByPriority() // descending: S[0]=99 first
 	topHits := 0
 	const n = 10000
-	for _, e := range b.Sample(n) {
+	draws := make([]Experience, n)
+	b.SampleInto(draws)
+	for _, e := range draws {
 		if e.S[0] >= 75 { // top quartile of priority
 			topHits++
 		}
@@ -119,19 +125,19 @@ func TestSamplePanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("empty Sample did not panic")
+				t.Fatal("SampleInto from an empty buffer did not panic")
 			}
 		}()
-		b.Sample(1)
+		b.SampleInto(make([]Experience, 1))
 	}()
 	b.Add(exp(1))
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Sample(0) did not panic")
+				t.Fatal("SampleInto with an empty dst did not panic")
 			}
 		}()
-		b.Sample(0)
+		b.SampleInto(nil)
 	}()
 }
 

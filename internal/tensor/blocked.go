@@ -11,6 +11,12 @@ package tensor
 //     keeps the whole tile in local accumulators across the panel:
 //     mr·nr multiply-adds per mr+nr loads, versus the naive kernel's
 //     one load+store of the output element per term.
+//   - Partial tiles at the M and N edges run the same micro-kernel:
+//     the packers zero-fill their padding rows/columns, the kernel
+//     writes an mr×nr write-back tile (loaded from C on later panels),
+//     and only the valid region is copied to C. K is never padded, and
+//     C[i][j] reads only row i of op(a) and column j of op(b), so the
+//     padding lanes cannot touch a valid element's value.
 //
 // The register-tile geometry (mr, nr) is the active backend's
 // (kernelMR/kernelNR in backend.go): 8×8 for the avx512 kernel, 4×4
@@ -45,9 +51,14 @@ const (
 	// backend's mr (4 and 8).
 	mcBlock = 64
 
-	// blockedMinVolume is the m·k·n product below which packing overhead
-	// outweighs register tiling and the naive loops win (the DRL policy
-	// and value nets live entirely below it).
+	// blockedMinVolume is the m·k·n product below which the naive loops
+	// run instead. It is a compromise across backends: with edge tiles
+	// on the SIMD kernels, the avx512 blocked path already wins from
+	// m ≥ 6 at a few hundred multiply-adds, while the pure-Go tiles lose
+	// to naive at every volume up to here, and 1-row products lose 2–3×
+	// on avx512 at any volume (all of op(b) is packed for one row). The
+	// DRL nets straddle it: at fedsim defaults (hidden 64, batch 32)
+	// their batched products run blocked, 1-row Act/QValue calls naive.
 	blockedMinVolume = 1 << 14
 	// parallelMinVolume is the volume below which stripe fan-out is not
 	// worth the scheduling round trip.
@@ -131,13 +142,16 @@ func gemmInto(dst, a, b *Tensor, v gemmVariant) {
 }
 
 // apSize returns the packed-A buffer length for a row range of rows,
-// panel length kc and register-tile height mr.
+// panel length kc and register-tile height mr, plus the edgeMR×edgeNR
+// write-back tile at its tail. The write-back tile rides the pooled
+// scratch rather than the stack: the asm kernels' pointer arguments
+// escape, so a local array would heap-allocate on every edge tile.
 func apSize(rows, kc, mr int) int {
 	if rows > mcBlock {
 		rows = mcBlock
 	}
 	tiles := (rows + mr - 1) / mr
-	return tiles * mr * kc
+	return tiles*mr*kc + edgeMR*edgeNR
 }
 
 // bpSize returns the packed-B buffer length for n columns, panel length
@@ -158,11 +172,13 @@ func gemmNaive(dst, a, b *Tensor, v gemmVariant) {
 
 // gemmBlockedRange runs the blocked kernel over output rows [rs, re).
 // ap and bp are packing scratch sized by apSize/bpSize for the active
-// backend's register tile (kernelMR/kernelNR, read once per call).
+// backend's register tile (kernelMR/kernelNR, read once per call); the
+// tail of ap holds the write-back tile of partial edge tiles.
 func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []float64) {
 	_, k, n := gemmDims(a, b, v)
 	mr, nr := kernelMR(), kernelNR()
 	dd := dst.Data
+	wb := ap[len(ap)-edgeMR*edgeNR:]
 	nTiles := (n + nr - 1) / nr
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		kc := k - p0
@@ -191,20 +207,27 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 						nv = nr
 					}
 					bpTile := bp[jt*kc*nr:]
-					c := dd[row0*n+jt*nr:]
-					if mv == mr && nv == nr {
-						switch {
-						case useAVX512:
-							micro8x8avx512(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						case useAVX:
-							micro4x4avx(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						case useNEON:
-							microNeon4x4(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						default:
-							micro4x4G(kc, apTile, bpTile, c, n, first)
+					out := dd[row0*n+jt*nr:]
+					c, ldc := out, n
+					edge := mv < mr || nv < nr
+					if edge {
+						c, ldc = wb, nr
+						if !first {
+							tileLoadG(wb, out, n, mv, nv, nr)
 						}
-					} else {
-						microEdgeG(kc, apTile, bpTile, c, n, mv, nv, mr, nr, first)
+					}
+					switch {
+					case useAVX512:
+						micro8x8avx512(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
+					case useAVX:
+						micro4x4avx(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
+					case useNEON:
+						microNeon4x4(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
+					default:
+						micro4x4G(kc, apTile, bpTile, c, ldc, first)
+					}
+					if edge {
+						tileStoreG(out, wb, n, mv, nv, nr)
 					}
 				}
 			}
@@ -212,6 +235,7 @@ func gemmBlockedRange(dst, a, b *Tensor, v gemmVariant, rs, re int, ap, bp []flo
 	}
 }
 
-// The packing routines (packAG/packBG) and the portable micro-kernels
-// (micro4x4G/microEdgeG) live in the generic element core (generic.go),
-// shared verbatim with the float32 arm (blocked32.go).
+// The packing routines (packAG/packBG), the portable micro-kernel
+// (micro4x4G) and the write-back tile copies (tileLoadG/tileStoreG)
+// live in the generic element core (generic.go), shared verbatim with
+// the float32 arm (blocked32.go).

@@ -91,11 +91,13 @@ func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 
 // gemmBlockedRange32 runs the blocked f32 kernel over output rows
 // [rs, re). ap and bp are packing scratch sized by apSize/bpSize for
-// the active backend's f32 register tile.
+// the active backend's f32 register tile; the tail of ap holds the
+// write-back tile of partial edge tiles.
 func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp []float32) {
 	_, k, n := gemmDims32(a, b, v)
 	mr, nr := kernelMR32(), kernelNR32()
 	dd := dst.Data
+	wb := ap[len(ap)-edgeMR*edgeNR:]
 	nTiles := (n + nr - 1) / nr
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		kc := k - p0
@@ -124,18 +126,25 @@ func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp [
 						nv = nr
 					}
 					bpTile := bp[jt*kc*nr:]
-					c := dd[row0*n+jt*nr:]
-					if mv == mr && nv == nr {
-						switch {
-						case useAVX512:
-							micro8x16avx512F32(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						case useAVX:
-							micro4x8avxF32(kc, &apTile[0], &bpTile[0], &c[0], n, first)
-						default:
-							micro4x4G(kc, apTile, bpTile, c, n, first)
+					out := dd[row0*n+jt*nr:]
+					c, ldc := out, n
+					edge := mv < mr || nv < nr
+					if edge {
+						c, ldc = wb, nr
+						if !first {
+							tileLoadG(wb, out, n, mv, nv, nr)
 						}
-					} else {
-						microEdgeG(kc, apTile, bpTile, c, n, mv, nv, mr, nr, first)
+					}
+					switch {
+					case useAVX512:
+						micro8x16avx512F32(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
+					case useAVX:
+						micro4x8avxF32(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
+					default:
+						micro4x4G(kc, apTile, bpTile, c, ldc, first)
+					}
+					if edge {
+						tileStoreG(out, wb, n, mv, nv, nr)
 					}
 				}
 			}

@@ -53,17 +53,18 @@ func restoreBackend(t *testing.T) {
 // blocked kernel must reproduce the naive triple loop BIT for bit
 // across shapes chosen to straddle every tile and block boundary —
 // 1×1, primes, exact 4- and 8-wide tile multiples, one-off-the-tile,
-// tall/skinny and wide/flat.
+// tall/skinny, wide/flat and the paper's own edge-heavy shapes — with
+// the packing scratch poisoned with NaN beforehand.
 func TestBlockedBitIdentity(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
 		{1, 7, 1},
 		{3, 5, 2},
-		{4, kcBlock, 4},         // exact 4-wide tile, one full k panel
-		{8, kcBlock, 8},         // exact 8-wide (avx512) tile
-		{5, kcBlock + 1, 5},     // one past the 4-wide tile and panel
-		{9, kcBlock + 1, 9},     // one past the 8-wide tile and panel
-		{7, kcBlock - 1, 7},     // one short of the 8-wide tile and panel
+		{4, kcBlock, 4},     // exact 4-wide tile, one full k panel
+		{8, kcBlock, 8},     // exact 8-wide (avx512) tile
+		{5, kcBlock + 1, 5}, // one past the 4-wide tile and panel
+		{9, kcBlock + 1, 9}, // one past the 8-wide tile and panel
+		{7, kcBlock - 1, 7}, // one short of the 8-wide tile and panel
 		{13, 17, 11},
 		{mcBlock, 31, 12},
 		{mcBlock + 3, kcBlock*2 + 5, 9},
@@ -72,6 +73,7 @@ func TestBlockedBitIdentity(t *testing.T) {
 		{2, 300, 2},     // k spans two panels with tiny tiles
 		{131, 131, 131}, // primes straddling every block
 	}
+	shapes = append(shapes, paperShapes...)
 	variants := []struct {
 		name string
 		v    gemmVariant
@@ -94,13 +96,14 @@ func TestBlockedBitIdentity(t *testing.T) {
 					gemmNaive(want, a, b, vt.v)
 
 					// Force the blocked kernel regardless of the dispatch
-					// threshold.
+					// threshold, on NaN-poisoned packing scratch: only
+					// slots the kernel writes itself may reach C.
 					kc := k
 					if kc > kcBlock {
 						kc = kcBlock
 					}
-					ap := getBuf(apSize(m, kc, kernelMR()))
-					bp := getBuf(bpSize(n, kc, kernelNR()))
+					ap := poisoned(getBuf(apSize(m, kc, kernelMR())))
+					bp := poisoned(getBuf(bpSize(n, kc, kernelNR())))
 					gemmBlockedRange(got, a, b, vt.v, 0, m, ap, bp)
 					putBuf(bp)
 					putBuf(ap)
@@ -111,7 +114,8 @@ func TestBlockedBitIdentity(t *testing.T) {
 					}
 
 					// The public entry (whatever path it dispatches to) must
-					// agree too.
+					// agree too, with every pooled buffer poisoned.
+					poisonPools()
 					pub := New(m, n)
 					switch vt.v {
 					case gemmAT:

@@ -24,8 +24,8 @@ type Elem interface {
 
 const (
 	// edgeMR × edgeNR bounds the register tile across every backend and
-	// element width (the f32 avx512 kernel's 8×16 is the largest);
-	// microEdgeG sizes its accumulator array with it.
+	// element width (the f32 avx512 kernel's 8×16 is the largest); the
+	// write-back tile of partial edge tiles is sized with it.
 	edgeMR = 8
 	edgeNR = 16
 )
@@ -87,39 +87,25 @@ func gemmNaiveG[E Elem](dd, ad []E, aR, aC int, bd []E, bR, bC int, v gemmVarian
 
 // packBG packs the reduction panel [p0, p0+kc) of op(b) into nr-wide
 // column tiles: bp[tile*kc*nr + p*nr + c] = op(b)[p0+p][tile*nr+c].
-// b is bR×bC physically. Slots of a partial edge tile are left
-// unwritten; only microEdgeG reads that tile and it stays within the
-// valid columns.
+// b is bR×bC physically. The padding columns [nv, nr) of a partial
+// edge tile are zero-filled, so the full-tile micro-kernel can run over
+// it (blocked.go).
 func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
-	switch v {
-	case gemmBT:
+	if v == gemmBT {
 		// op(b)[p][j] = b[j][p]; b is n×k, rows contiguous in p.
-		kPhys := bC
 		for jt := 0; jt*nr < n; jt++ {
-			off := jt * kc * nr
-			nv := n - jt*nr
-			if nv > nr {
-				nv = nr
-			}
-			for c := 0; c < nv; c++ {
-				src := bd[(jt*nr+c)*kPhys+p0:]
-				for p := 0; p < kc; p++ {
-					bp[off+p*nr+c] = src[p]
-				}
-			}
-		}
-	default:
-		// op(b)[p][j] = b[p][j] for both NN and AT.
-		for jt := 0; jt*nr < n; jt++ {
-			off := jt * kc * nr
 			j0 := jt * nr
-			nv := n - j0
-			if nv > nr {
-				nv = nr
-			}
-			for p := 0; p < kc; p++ {
-				copy(bp[off+p*nr:off+p*nr+nv], bd[(p0+p)*n+j0:])
-			}
+			packTransposedG(bp[jt*kc*nr:(jt+1)*kc*nr], bd[j0*bC+p0:], bC, min(n-j0, nr), kc, nr)
+		}
+		return
+	}
+	// op(b)[p][j] = b[p][j] for both NN and AT: stream each row of the
+	// panel once, scattering it across the column tiles.
+	for p := 0; p < kc; p++ {
+		row := bd[(p0+p)*n : (p0+p+1)*n]
+		for jt, j0 := 0, 0; j0 < n; jt, j0 = jt+1, j0+nr {
+			off := jt*kc*nr + p*nr
+			copyTileRowG(bp[off:off+nr], row[j0:min(j0+nr, n)])
 		}
 	}
 }
@@ -127,43 +113,82 @@ func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
 // packAG packs rows [i0, i0+ib) of op(a) over the reduction panel
 // [p0, p0+kc) into mr-tall row tiles:
 // ap[tile*kc*mr + p*mr + r] = op(a)[tile*mr+r][p0+p].
-// a is aR×aC physically.
+// a is aR×aC physically. The padding rows [mv, mr) of a partial edge
+// tile are zero-filled, like packBG's padding columns.
 func packAG[E Elem](ap, ad []E, aR, aC int, v gemmVariant, i0, ib, p0, kc, mr int) {
-	switch v {
-	case gemmAT:
+	for it := 0; it*mr < ib; it++ {
+		r0 := i0 + it*mr
+		mv := min(ib-it*mr, mr)
+		tile := ap[it*kc*mr : (it+1)*kc*mr]
+		if v != gemmAT {
+			// op(a)[i][p] = a[i][p] for both NN and BT.
+			packTransposedG(tile, ad[r0*aC+p0:], aC, mv, kc, mr)
+			continue
+		}
 		// op(a)[i][p] = a[p][i]; a is k×m, rows contiguous in i.
-		mPhys := aC
-		for it := 0; it*mr < ib; it++ {
-			off := it * kc * mr
-			mv := ib - it*mr
-			if mv > mr {
-				mv = mr
-			}
-			base := i0 + it*mr
-			for p := 0; p < kc; p++ {
-				src := ad[(p0+p)*mPhys+base:]
-				dstRow := ap[off+p*mr:]
-				for r := 0; r < mv; r++ {
-					dstRow[r] = src[r]
-				}
-			}
+		for p := 0; p < kc; p++ {
+			src := ad[(p0+p)*aC+r0:]
+			copyTileRowG(tile[p*mr:(p+1)*mr], src[:mv])
 		}
+	}
+}
+
+// copyTileRowG copies src into the packed tile row dst (len(src) ≤
+// len(dst)) and zero-fills the padding lanes past len(src). Full rows
+// of the backends' tile widths move as one fixed-size block.
+func copyTileRowG[E Elem](dst, src []E) {
+	switch {
+	case len(src) == 8 && len(dst) == 8:
+		*(*[8]E)(dst) = *(*[8]E)(src)
+	case len(src) == 16 && len(dst) == 16:
+		*(*[16]E)(dst) = *(*[16]E)(src)
+	case len(src) == 4 && len(dst) == 4:
+		*(*[4]E)(dst) = *(*[4]E)(src)
 	default:
-		// op(a)[i][p] = a[i][p] for both NN and BT.
-		kPhys := aC
-		for it := 0; it*mr < ib; it++ {
-			off := it * kc * mr
-			mv := ib - it*mr
-			if mv > mr {
-				mv = mr
-			}
-			for r := 0; r < mv; r++ {
-				src := ad[(i0+it*mr+r)*kPhys+p0:]
-				for p := 0; p < kc; p++ {
-					ap[off+p*mr+r] = src[p]
-				}
-			}
+		clear(dst[copy(dst, src):])
+	}
+}
+
+// packTransposedG fills the w-wide packed tile rows dst[p*w:(p+1)*w],
+// p in [0, kc), with element p of each of the rows source rows
+// src[r*ld:] and zeros in the padding lanes [rows, w). Groups of eight
+// source rows go through transpose8G, which writes each packed row
+// sequentially.
+func packTransposedG[E Elem](dst, src []E, ld, rows, kc, w int) {
+	r := 0
+	for ; r+8 <= rows; r += 8 {
+		transpose8G(dst[r:], src[r*ld:], ld, kc, w)
+	}
+	for ; r < rows; r++ {
+		s := src[r*ld : r*ld+kc]
+		d := dst[r:]
+		for p, x := range s {
+			d[p*w] = x
 		}
+	}
+	for ; r < w; r++ {
+		d := dst[r:]
+		for p := 0; p < kc; p++ {
+			d[p*w] = 0
+		}
+	}
+}
+
+// transpose8G writes element p of the eight source rows src[r*ld:]
+// (r < 8) to dst[p*w : p*w+8] for p in [0, kc).
+func transpose8G[E Elem](dst, src []E, ld, kc, w int) {
+	s0 := src[:kc]
+	s1 := src[ld : ld+kc][:len(s0)]
+	s2 := src[2*ld : 2*ld+kc][:len(s0)]
+	s3 := src[3*ld : 3*ld+kc][:len(s0)]
+	s4 := src[4*ld : 4*ld+kc][:len(s0)]
+	s5 := src[5*ld : 5*ld+kc][:len(s0)]
+	s6 := src[6*ld : 6*ld+kc][:len(s0)]
+	s7 := src[7*ld : 7*ld+kc][:len(s0)]
+	for p := range s0 {
+		d := (*[8]E)(dst[p*w : p*w+8])
+		d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+		d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]
 	}
 }
 
@@ -212,29 +237,20 @@ func micro4x4G[E Elem](kc int, ap, bp, c []E, ldc int, first bool) {
 	r3[0], r3[1], r3[2], r3[3] = c30, c31, c32, c33
 }
 
-// microEdgeG computes a partial tile of mv×nv valid elements (tile
-// strides in the packed panels stay the backend's mr/nr).
-func microEdgeG[E Elem](kc int, ap, bp, c []E, ldc, mv, nv, mr, nr int, first bool) {
-	var acc [edgeMR][edgeNR]E
-	if !first {
-		for r := 0; r < mv; r++ {
-			for j := 0; j < nv; j++ {
-				acc[r][j] = c[r*ldc+j]
-			}
-		}
-	}
-	for p := 0; p < kc; p++ {
-		for r := 0; r < mv; r++ {
-			av := ap[p*mr+r]
-			for j := 0; j < nv; j++ {
-				acc[r][j] += E(av * bp[p*nr+j])
-			}
-		}
-	}
+// tileLoadG copies the valid mv×nv region of the output tile at c
+// (leading dimension ldc) into the nr-wide write-back tile wb, so an
+// edge tile can accumulate on top of earlier panels.
+func tileLoadG[E Elem](wb, c []E, ldc, mv, nv, nr int) {
 	for r := 0; r < mv; r++ {
-		for j := 0; j < nv; j++ {
-			c[r*ldc+j] = acc[r][j]
-		}
+		copy(wb[r*nr:r*nr+nv], c[r*ldc:r*ldc+nv])
+	}
+}
+
+// tileStoreG copies the valid mv×nv region of the write-back tile wb
+// back to the output tile at c; the padding lanes are discarded.
+func tileStoreG[E Elem](c, wb []E, ldc, mv, nv, nr int) {
+	for r := 0; r < mv; r++ {
+		copy(c[r*ldc:r*ldc+nv], wb[r*nr:r*nr+nv])
 	}
 }
 

@@ -77,17 +77,18 @@ func gemmOperands32(v gemmVariant, m, k, n int) (a, b, dst *Tensor32) {
 // fallback chain, the blocked f32 kernel must reproduce the generic
 // reference triple loop BIT for bit across shapes straddling the wider
 // f32 tiles — exact 4×8 (avx) and 8×16 (avx512) multiples, one-off,
-// primes, tall/skinny and wide/flat.
+// primes, tall/skinny, wide/flat and the paper's edge-heavy shapes —
+// with the packing scratch poisoned with NaN beforehand.
 func TestBlocked32BitIdentity(t *testing.T) {
 	shapes := [][3]int{
 		{1, 1, 1},
 		{1, 7, 1},
 		{3, 5, 2},
-		{4, kcBlock, 8},         // exact avx f32 tile, one full k panel
-		{8, kcBlock, 16},        // exact avx512 f32 tile
-		{5, kcBlock + 1, 9},     // one past the avx tile and panel
-		{9, kcBlock + 1, 17},    // one past the avx512 tile and panel
-		{7, kcBlock - 1, 15},    // one short of the avx512 tile and panel
+		{4, kcBlock, 8},      // exact avx f32 tile, one full k panel
+		{8, kcBlock, 16},     // exact avx512 f32 tile
+		{5, kcBlock + 1, 9},  // one past the avx tile and panel
+		{9, kcBlock + 1, 17}, // one past the avx512 tile and panel
+		{7, kcBlock - 1, 15}, // one short of the avx512 tile and panel
 		{13, 17, 11},
 		{mcBlock, 31, 12},
 		{mcBlock + 3, kcBlock*2 + 5, 9},
@@ -96,6 +97,7 @@ func TestBlocked32BitIdentity(t *testing.T) {
 		{2, 300, 2},     // k spans two panels with tiny tiles
 		{131, 131, 131}, // primes straddling every block
 	}
+	shapes = append(shapes, paperShapes...)
 	variants := []struct {
 		name string
 		v    gemmVariant
@@ -118,20 +120,21 @@ func TestBlocked32BitIdentity(t *testing.T) {
 					gemmNaive32(want, a, b, vt.v)
 
 					// Force the blocked kernel regardless of the dispatch
-					// threshold.
+					// threshold, on NaN-poisoned packing scratch.
 					kc := k
 					if kc > kcBlock {
 						kc = kcBlock
 					}
-					ap := getBuf32(apSize(m, kc, kernelMR32()))
-					bp := getBuf32(bpSize(n, kc, kernelNR32()))
+					ap := poisoned(getBuf32(apSize(m, kc, kernelMR32())))
+					bp := poisoned(getBuf32(bpSize(n, kc, kernelNR32())))
 					gemmBlockedRange32(got, a, b, vt.v, 0, m, ap, bp)
 					putBuf32(bp)
 					putBuf32(ap)
 					sameBits32(t, "blocked", got.Data, want.Data)
 
 					// The public entry (whatever path it dispatches to) must
-					// agree too.
+					// agree too, with every pooled buffer poisoned.
+					poisonPools()
 					pub := New32(m, n)
 					switch vt.v {
 					case gemmAT:

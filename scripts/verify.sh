@@ -5,6 +5,25 @@
 # CLI.
 set -eux
 
+# gate PKG REGEX [FLAGS...] runs `go test FLAGS -run REGEX PKG`, but
+# first fails if any |-separated name in REGEX is not a test of PKG
+# (per `go test -list`): a renamed or deleted test would otherwise
+# disarm its gate silently, since a -run regex that matches nothing
+# passes.
+gate() {
+	pkg=$1
+	re=$2
+	shift 2
+	listed=$(go test -list "$re" "$pkg")
+	for name in $(echo "$re" | tr '|' ' '); do
+		if ! echo "$listed" | grep -qx "$name"; then
+			echo "verify: gate names $name, which is not a test in $pkg" >&2
+			exit 1
+		fi
+	done
+	go test "$@" -run "$re" "$pkg"
+}
+
 go vet ./...
 go build ./...
 go test ./...
@@ -59,24 +78,38 @@ go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid' ./internal
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
 # all three transpose variants, and the pool-hook stripe fan-out) must
-# be BIT-identical to the naive reference loops, same for the SIMD
-# elementwise kernels, and a warm arena-backed train step (dense and
-# conv stacks) must perform zero heap allocations.
-go test -run 'TestBlockedBitIdentity|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestElemwiseBitIdentity|TestBackendsChain' ./internal/tensor/
-go test -run 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain' ./internal/nn/
+# be BIT-identical to the naive reference loops, on NaN-poisoned
+# packing scratch and over the paper's edge-heavy shapes; the packers
+# must zero-fill the padding of partial edge tiles, and a non-finite
+# value in one row/column must reach only that row/column of C. Same
+# bit-identity for the SIMD elementwise kernels, and warm GEMMs (incl.
+# a batch-10 edge-heavy product) and a warm arena-backed train step
+# (dense and conv stacks) must perform zero heap allocations.
+gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestBackendsChain'
+gate ./internal/nn/ 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain'
 
-# Forced-generic gate: the same bit-identity suites with every SIMD
-# tier disabled via the TENSOR_BACKEND override, proving the pure-Go
-# kernels stand alone (and that the override is honored end to end).
-TENSOR_BACKEND=generic go test -run 'TestBlockedBitIdentity|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv' ./internal/tensor/
+# DRL agent gates: a warm Agent.Train step on its scratch arenas makes
+# zero heap allocations, and the batched TD reprioritize reproduces the
+# per-experience QValue path's priorities and buffer order bit for bit.
+gate ./internal/core/ 'TestAgentTrainAllocs|TestReprioritizeBatchedMatchesPerExperience'
+
+# Forced-generic gate: the same bit-identity and edge-tile suites with
+# every SIMD tier disabled via the TENSOR_BACKEND override, proving the
+# pure-Go kernels stand alone (and that the override is honored end to
+# end).
+export TENSOR_BACKEND=generic
+gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv'
+unset TENSOR_BACKEND
 
 # Float32 kernel gates: the f32 GEMM/elemwise kernels must be
 # bit-identical to their naive f32 references on every backend in the
 # host's chain (the suite forces each tier itself), including the
 # non-finite special-value sweep and the f64↔f32 conversion round trip
 # — and the same suite must hold with every SIMD tier disabled.
-go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestIm2Col32MatchesFloat64|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32' ./internal/tensor/
-TENSOR_BACKEND=generic go test -run 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical' ./internal/tensor/
+gate ./internal/tensor/ 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical|TestIm2Col32MatchesFloat64|TestWidenQuantizeRoundTrip|TestKernelScratchReuse32'
+export TENSOR_BACKEND=generic
+gate ./internal/tensor/ 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|TestElemwise32BitIdentity|TestParallelStripes32BitIdentical'
+unset TENSOR_BACKEND
 
 # Float32 precision-mode determinism gate under -race: an F32 run must
 # be bit-identical across eager/virtual construction, across worker
