@@ -881,7 +881,7 @@ func BenchmarkComputeElemwiseAxpy(b *testing.B) {
 }
 
 // BenchmarkComputeElemwiseF32Axpy times the f32 aggregation workhorse
-// (the AggregateOn32 inner kernel) at the same element count.
+// (the inner kernel of an f32 cohort's AggregateOn) at the same element count.
 func BenchmarkComputeElemwiseF32Axpy(b *testing.B) {
 	x := make([]float32, 1<<16)
 	y := make([]float32, 1<<16)
@@ -1131,7 +1131,7 @@ func TestComputeBenchJSON(t *testing.T) {
 			})
 			e := precisionEntry{
 				Precision:  "f64",
-				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F64).UplinkBytes,
+				UpdateWire: CommPerRound(FedAvg{}, 1, refWeights, F64).UplinkBytes,
 			}
 			if gemmNs > 0 {
 				e.GemmGFLOPS = flops / float64(gemmNs)
@@ -1159,7 +1159,7 @@ func TestComputeBenchJSON(t *testing.T) {
 			})
 			e := precisionEntry{
 				Precision:  "f32",
-				UpdateWire: CommPerRoundP(FedAvg{}, 1, refWeights, F32).UplinkBytes,
+				UpdateWire: CommPerRound(FedAvg{}, 1, refWeights, F32).UplinkBytes,
 			}
 			if gemmNs > 0 {
 				e.GemmGFLOPS = flops / float64(gemmNs)

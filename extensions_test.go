@@ -103,14 +103,14 @@ func TestCommAccountingPublic(t *testing.T) {
 	cfg := DefaultAgentConfig(10)
 	cfg.Hidden = 8
 	drl := NewFedDRL(NewAgent(cfg))
-	c := CommPerRound(drl, 10, 50000)
+	c := CommPerRound(drl, 10, 50000, F64)
 	if c.OverheadBytes != 160 {
 		t.Fatalf("overhead %d", c.OverheadBytes)
 	}
 	if f := c.OverheadFraction(); f > 0.001 {
 		t.Fatalf("overhead fraction %v should be negligible", f)
 	}
-	base := CommPerRound(FedAvg{}, 10, 50000)
+	base := CommPerRound(FedAvg{}, 10, 50000, F64)
 	if base.UplinkBytes+c.OverheadBytes != c.UplinkBytes {
 		t.Fatal("FedDRL uplink should be FedAvg's plus the loss metadata")
 	}

@@ -25,6 +25,9 @@
 //     sequential and whose nested loops stay parallel under saturation
 //   - aggregators: FedAvg, FedProx, NewFedDRL (the paper's contribution),
 //     or any custom Aggregator implementation
+//   - federated-state precision F64 or F32: one entry per operation,
+//     taking its width from the data (Aggregate, compression, AllFinite)
+//     or a Precision argument (CommPerRound, CommAsyncRound)
 //   - Byzantine robustness: seeded AttackModel fault injection
 //     (SignFlip, GaussianNoise, ModelReplacement, Colluding, LabelFlip)
 //     over an identity-stable malicious subset, robust Mergers (Median,
@@ -184,11 +187,6 @@ var (
 	// ParseMerger resolves a CLI spelling (weighted, median, trimmed,
 	// krum) to a Merger, sizing Krum's f from the malicious fraction.
 	ParseMerger = fl.ParseMerger
-	// AllFinite reports whether a weight vector is free of NaN/Inf
-	// (the upload screen behind the quarantine gate).
-	AllFinite = fl.AllFinite
-	// AllFinite32 is AllFinite over float32 vectors.
-	AllFinite32 = fl.AllFinite32
 	// FlipLabels wraps a data source so every label reads flipped
 	// (class c becomes classes-1-c) — the LabelFlip poisoning view.
 	FlipLabels = dataset.FlipLabels
@@ -310,7 +308,8 @@ var (
 	RunAsync = fl.RunAsync
 	// SingleSet trains centrally on the combined data (the §4.1 baseline).
 	SingleSet = fl.SingleSet
-	// Aggregate computes the Eq. 4 weighted model merge.
+	// Aggregate computes the Eq. 4 weighted model merge at the cohort's
+	// width.
 	Aggregate = fl.Aggregate
 	// NewFedDRL wraps an Agent as an Aggregator.
 	NewFedDRL = fl.NewFedDRL
@@ -486,16 +485,13 @@ type (
 	PowerOfChoiceSelector = fl.PowerOfChoiceSelector
 	// RoundRobinSelector cycles deterministically.
 	RoundRobinSelector = fl.RoundRobinSelector
-	// SparseDelta is a top-k-compressed client update (§3.5).
+	// SparseDelta is a top-k-compressed client update (§3.5) at the
+	// width of the update it compresses.
 	SparseDelta = fl.SparseDelta
-	// SparseDelta32 is the half-width (F32-mode) compressed update.
-	SparseDelta32 = fl.SparseDelta32
 )
 
-// Sparse update compression (§3.5 compatibility).
+// Sparse update compression (§3.5 compatibility) at the cohort's width.
 var (
-	// CompressTopK keeps the k largest-magnitude weight deltas.
-	CompressTopK = fl.CompressTopK
 	// CompressUpdates compresses a round's updates at a keep fraction.
 	CompressUpdates = fl.CompressUpdates
 	// CompressUpdatesOn is CompressUpdates fanned out across an engine
@@ -503,14 +499,16 @@ var (
 	CompressUpdatesOn = fl.CompressUpdatesOn
 	// DecompressUpdates reconstructs dense updates server-side.
 	DecompressUpdates = fl.DecompressUpdates
-	// CompressTopK32 is CompressTopK over float32 vectors.
-	CompressTopK32 = fl.CompressTopK32
-	// CompressUpdates32On compresses an F32-mode round's updates on an
-	// engine pool.
-	CompressUpdates32On = fl.CompressUpdates32On
-	// DecompressUpdates32 reconstructs dense f32 updates server-side.
-	DecompressUpdates32 = fl.DecompressUpdates32
 )
+
+// CompressTopK keeps the k largest-magnitude weight deltas.
+func CompressTopK[E tensor.Elem](weights, base []E, k int) SparseDelta {
+	return fl.CompressTopK(weights, base, k)
+}
+
+// AllFinite reports whether a weight vector of either width is free of
+// NaN/Inf (the upload screen behind the quarantine gate).
+func AllFinite[E tensor.Elem](v []E) bool { return fl.AllFinite(v) }
 
 var (
 	// NewCheckpoint returns an empty checkpoint.
@@ -522,17 +520,12 @@ var (
 	// LoadAgentFile restores an agent from a checkpoint file.
 	LoadAgentFile = core.LoadAgentFile
 	// CommPerRound computes a synchronous round's traffic under an
-	// aggregator.
+	// aggregator at a precision.
 	CommPerRound = fl.CommPerRound
 	// CommAsyncRound computes an asynchronous aggregation step's
-	// traffic: dispatched broadcasts down, arrived updates (with
-	// staleness metadata) up.
+	// traffic at a precision: dispatched broadcasts down, arrived
+	// updates (with staleness metadata) up.
 	CommAsyncRound = fl.CommAsyncRound
-	// CommPerRoundP is CommPerRound with an explicit precision: F32
-	// rounds move half-width weight payloads.
-	CommPerRoundP = fl.CommPerRoundP
-	// CommAsyncRoundP is CommAsyncRound with an explicit precision.
-	CommAsyncRoundP = fl.CommAsyncRoundP
 )
 
 // AsyncMetaBytes is the per-update staleness metadata an asynchronous

@@ -82,39 +82,23 @@ type Scale struct {
 	Attack     string
 	AttackFrac float64
 	Merger     string
-	// Parallel trains selected clients in goroutines.
-	//
-	// Deprecated: shorthand for Workers=GOMAXPROCS; prefer Workers.
-	Parallel bool
 	// Workers is the bounded engine width used both across independent
 	// experiment cells (Table 3 / Fig. 7 / Fig. 8 grids) and inside each
 	// federated run (client training, evaluation, aggregation); the
 	// work-stealing scheduler shares the same lanes across all three
 	// layers, so nested loops stay parallel even when the grid saturates
-	// the pool. 0 means GOMAXPROCS when Parallel is set, sequential
-	// otherwise. Any value produces bit-identical experiment output.
+	// the pool. 0 and 1 mean sequential. Any value produces
+	// bit-identical experiment output.
 	Workers int
-}
-
-// effectiveWorkers resolves the engine width from Workers and the
-// deprecated Parallel flag.
-func (s Scale) effectiveWorkers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	if s.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
 }
 
 // newPool builds the shared engine pool for one experiment invocation,
 // or nil (inline execution) when the scale is sequential.
 func (s Scale) newPool() *engine.Pool {
-	if s.effectiveWorkers() <= 1 {
+	if s.Workers <= 1 {
 		return nil
 	}
-	return engine.New(s.effectiveWorkers())
+	return engine.New(s.Workers)
 }
 
 // CI returns the continuous-integration scale: every experiment finishes
@@ -172,7 +156,7 @@ func Paper() Scale {
 		Deltas:      []float64{0.2, 0.4, 0.6},
 		UseConvNets: true,
 		EvalEvery:   5,
-		Parallel:    true,
+		Workers:     runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -250,7 +234,6 @@ func (s Scale) runConfig(spec dataset.Spec, k int, proxMu float64, seed uint64) 
 		Local:     fl.LocalConfig{Epochs: s.Epochs, Batch: s.Batch, LR: s.LR, ProxMu: proxMu},
 		Factory:   s.factoryFor(spec),
 		Seed:      seed,
-		Parallel:  s.Parallel,
 		Workers:   s.Workers,
 		EvalEvery: s.EvalEvery,
 		Precision: fl.Precision(s.Precision),

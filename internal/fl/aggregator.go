@@ -6,7 +6,7 @@ import (
 
 	"feddrl/internal/core"
 	"feddrl/internal/engine"
-	"feddrl/internal/mathx"
+	"feddrl/internal/tensor"
 )
 
 // Aggregator decides the impact factors used to merge client updates
@@ -173,7 +173,7 @@ func Aggregate(updates []Update, alpha []float64) []float64 {
 }
 
 // AllFinite reports whether every element of v is a finite number (no
-// NaN, no ±Inf).
+// NaN, no ±Inf), at either width.
 //
 // The aggregation entry points panic on non-finite uploads because a
 // single poisoned coordinate contaminates the whole merged model, and a
@@ -182,20 +182,10 @@ func Aggregate(updates []Update, alpha []float64) []float64 {
 // gate (QuarantineConfig) treats a non-finite upload as a runtime fault
 // from a diverging or malicious client, drops it from the cohort, and
 // counts it in RoundMetrics.Quarantined.
-func AllFinite(v []float64) bool {
+func AllFinite[E tensor.Elem](v []E) bool {
 	for _, x := range v {
 		// x-x is 0 for finite x and NaN for NaN/±Inf: one branch per
 		// element instead of two math.Is* calls.
-		if x-x != x-x {
-			return false
-		}
-	}
-	return true
-}
-
-// AllFinite32 is the float32 twin of AllFinite.
-func AllFinite32(v []float32) bool {
-	for _, x := range v {
 		if x-x != x-x {
 			return false
 		}
@@ -212,10 +202,24 @@ const aggSegment = 8192
 // (nil means sequential). Results are bit-identical to Aggregate.
 // Under a saturated shared pool the segments enqueue for stealing like
 // any nested job, so the merge stays parallel inside a busy grid.
+//
+// The width comes from the cohort: an f32 cohort (Update.Weights32)
+// folds in pure float32 arithmetic — impact factors rounded once each
+// to float32, one rounding per multiply and per add — and returns the
+// exact widening of that result, which lies on the float32 lattice.
 func AggregateOn(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	if len(updates) == 0 || len(alpha) != len(updates) {
-		panic(fmt.Sprintf("fl: Aggregate with %d updates and %d weights", len(updates), len(alpha)))
+	if cohortWidth(updates) == F32 {
+		return tensor.Widen(nil, aggregate[float32](updates, alpha, pool))
 	}
+	return aggregate[float64](updates, alpha, pool)
+}
+
+// aggregate is the Eq. 4 fold at width E: for every output element a
+// single k-ascending chain of the SIMD axpy kernel, whatever the
+// segmentation, so any pool width and kernel backend gives the same
+// bytes.
+func aggregate[E tensor.Elem](updates []Update, alpha []float64, pool *engine.Pool) []E {
+	vecs := mergeVecs[E](updates, alpha)
 	sum := 0.0
 	for _, a := range alpha {
 		if a < 0 {
@@ -226,39 +230,50 @@ func AggregateOn(updates []Update, alpha []float64, pool *engine.Pool) []float64
 	if sum < 0.999 || sum > 1.001 {
 		panic(fmt.Sprintf("fl: impact factors sum to %v, want 1", sum))
 	}
-	dim := len(updates[0].Weights)
-	vecs := make([][]float64, len(updates))
-	for i, u := range updates {
-		if len(u.Weights) != dim {
-			panic("fl: inconsistent weight vector lengths")
+	for i, v := range vecs {
+		if !AllFinite(v) {
+			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite or the run loop's quarantine gate", i, updates[i].ClientID))
 		}
-		if !AllFinite(u.Weights) {
-			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite or the run loop's quarantine gate", i, u.ClientID))
-		}
-		vecs[i] = u.Weights
 	}
-	out := make([]float64, dim)
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs <= 1 {
-		// Sequential fast path: one kernel call, no per-segment slice
-		// headers. Bit-identical to the segmented fold.
-		mathx.WeightedSum(out, alpha, vecs)
-		return out
+	a := make([]E, len(alpha))
+	for i, x := range alpha {
+		a[i] = E(x)
 	}
-	// Segments are microsecond-scale axpy strips: publish them on the
-	// fine scheduling class so idle lanes drain them before any coarse
-	// grid cells pending in the same deques.
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
-		}
-		sub := make([][]float64, len(vecs))
+	out := make([]E, len(vecs[0]))
+	// Segments are microsecond-scale axpy strips: forSegments publishes
+	// them on the fine scheduling class so idle lanes drain them before
+	// any coarse grid cells pending in the same deques.
+	forSegments(pool, len(out), func(lo, hi int) {
+		dst := out[lo:hi]
+		clear(dst)
 		for k, v := range vecs {
-			sub[k] = v[lo:hi]
+			axpy(a[k], v[lo:hi], dst)
 		}
-		mathx.WeightedSum(out[lo:hi], alpha, sub)
 	})
 	return out
+}
+
+// axpy computes y += a·x on the SIMD kernel of E's width.
+func axpy[E tensor.Elem](a E, x, y []E) {
+	switch y := any(y).(type) {
+	case []float64:
+		tensor.Axpy(float64(a), any(x).([]float64), y)
+	case []float32:
+		tensor.Axpy32(float32(a), any(x).([]float32), y)
+	}
+}
+
+// forSegments runs body over [0, dim) in aggSegment-wide spans, fanned
+// out on pool's fine scheduling class when there are at least two. A
+// nil pool or a single span runs body(0, dim) inline.
+func forSegments(pool *engine.Pool, dim int, body func(lo, hi int)) {
+	segs := (dim + aggSegment - 1) / aggSegment
+	if pool == nil || segs < 2 {
+		body(0, dim)
+		return
+	}
+	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
+		lo := s * aggSegment
+		body(lo, min(lo+aggSegment, dim))
+	})
 }

@@ -55,16 +55,11 @@ func weightWireSize(prec Precision, weightLen int) int {
 }
 
 // CommPerRound computes one synchronous round's traffic for K
-// participants exchanging full-width weight vectors under the given
-// aggregator.
-func CommPerRound(agg Aggregator, k, weightLen int) CommRound {
-	return CommPerRoundP(agg, k, weightLen, F64)
-}
-
-// CommPerRoundP is CommPerRound with an explicit precision: F32 rounds
-// move half-width weight payloads in both directions (metadata stays
-// fixed-width), so their traffic is just under half the F64 round's.
-func CommPerRoundP(agg Aggregator, k, weightLen int, prec Precision) CommRound {
+// participants exchanging weight vectors of the given precision under
+// the given aggregator. F32 rounds move half-width weight payloads in
+// both directions (metadata stays fixed-width), so their traffic is
+// just under half the F64 round's.
+func CommPerRound(agg Aggregator, k, weightLen int, prec Precision) CommRound {
 	wire := weightWireSize(prec, weightLen)
 	const countBytes = 8 // n_k as a fixed-width integer
 	extra := 0
@@ -83,15 +78,9 @@ func CommPerRoundP(agg Aggregator, k, weightLen int, prec Precision) CommRound {
 // the synchronous payload plus AsyncMetaBytes of staleness metadata) on
 // the uplink. arrived never exceeds dispatched in a real trace; the
 // degenerate trace (arrived == dispatched) differs from CommPerRound by
-// exactly arrived×AsyncMetaBytes of uplink.
-func CommAsyncRound(agg Aggregator, dispatched, arrived, weightLen int) CommRound {
-	return CommAsyncRoundP(agg, dispatched, arrived, weightLen, F64)
-}
-
-// CommAsyncRoundP is CommAsyncRound with an explicit precision; the
-// staleness metadata stays fixed-width, only the weight payload narrows
-// under F32.
-func CommAsyncRoundP(agg Aggregator, dispatched, arrived, weightLen int, prec Precision) CommRound {
+// exactly arrived×AsyncMetaBytes of uplink. Only the weight payload
+// narrows under F32; the staleness metadata stays fixed-width.
+func CommAsyncRound(agg Aggregator, dispatched, arrived, weightLen int, prec Precision) CommRound {
 	if arrived > dispatched {
 		panic("fl: CommAsyncRound with more arrivals than dispatches")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCommPerRoundFedAvg(t *testing.T) {
-	c := CommPerRound(FedAvg{}, 10, 1000)
+	c := CommPerRound(FedAvg{}, 10, 1000, F64)
 	wantDown := 10 * (4 + 8000)
 	if c.DownlinkBytes != wantDown {
 		t.Fatalf("downlink %d, want %d", c.DownlinkBytes, wantDown)
@@ -25,7 +25,7 @@ func TestCommPerRoundFedDRL(t *testing.T) {
 	cfg := core.DefaultConfig(10)
 	cfg.Hidden = 8
 	agg := NewFedDRL(core.NewAgent(cfg))
-	c := CommPerRound(agg, 10, 1000)
+	c := CommPerRound(agg, 10, 1000, F64)
 	if c.OverheadBytes != 160 { // 2 float64 per client × 10 clients
 		t.Fatalf("overhead %d, want 160", c.OverheadBytes)
 	}
@@ -34,7 +34,7 @@ func TestCommPerRoundFedDRL(t *testing.T) {
 		t.Fatalf("overhead fraction %v should be well under 1%%", f)
 	}
 	// And it shrinks as the model grows.
-	big := CommPerRound(agg, 10, 100000)
+	big := CommPerRound(agg, 10, 100000, F64)
 	if big.OverheadFraction() >= c.OverheadFraction() {
 		t.Fatal("overhead fraction should shrink with model size")
 	}
@@ -48,10 +48,10 @@ func TestOverheadFractionDegenerate(t *testing.T) {
 	if c.OverheadFraction() != 0 {
 		t.Fatal("zero round should have zero fraction")
 	}
-	if f := CommPerRound(FedAvg{}, 0, 1000).OverheadFraction(); f != 0 {
+	if f := CommPerRound(FedAvg{}, 0, 1000, F64).OverheadFraction(); f != 0 {
 		t.Fatalf("k=0 round fraction = %v, want 0", f)
 	}
-	if f := CommAsyncRound(FedAvg{}, 10, 0, 1000).OverheadFraction(); f != 0 {
+	if f := CommAsyncRound(FedAvg{}, 10, 0, 1000, F64).OverheadFraction(); f != 0 {
 		t.Fatalf("all-dropped async round fraction = %v, want 0", f)
 	}
 }
@@ -64,7 +64,7 @@ func TestCommAsyncRound(t *testing.T) {
 	// Partial round: 10 broadcasts, 7 arrivals. Downlink charges the
 	// dispatches; uplink charges only completed uploads, each carrying
 	// the staleness metadata on top of the synchronous payload.
-	c := CommAsyncRound(agg, 10, 7, 1000)
+	c := CommAsyncRound(agg, 10, 7, 1000, F64)
 	wire := 4 + 8000
 	if want := 10 * wire; c.DownlinkBytes != want {
 		t.Fatalf("downlink %d, want %d", c.DownlinkBytes, want)
@@ -78,7 +78,7 @@ func TestCommAsyncRound(t *testing.T) {
 
 	// Degenerate trace (everything arrives): differs from the
 	// synchronous round by exactly arrived×AsyncMetaBytes of uplink.
-	sync, async := CommPerRound(agg, 10, 1000), CommAsyncRound(agg, 10, 10, 1000)
+	sync, async := CommPerRound(agg, 10, 1000, F64), CommAsyncRound(agg, 10, 10, 1000, F64)
 	if async.DownlinkBytes != sync.DownlinkBytes || async.OverheadBytes != sync.OverheadBytes {
 		t.Fatal("degenerate async round disagrees with synchronous accounting")
 	}
@@ -91,5 +91,5 @@ func TestCommAsyncRound(t *testing.T) {
 			t.Fatal("arrived > dispatched did not panic")
 		}
 	}()
-	CommAsyncRound(agg, 5, 6, 1000)
+	CommAsyncRound(agg, 5, 6, 1000, F64)
 }

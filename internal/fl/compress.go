@@ -3,10 +3,10 @@ package fl
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"feddrl/internal/engine"
-	"feddrl/internal/serialize"
 	"feddrl/internal/tensor"
 )
 
@@ -19,16 +19,22 @@ import (
 // TestFedDRLWithCompression exercises the combination.
 
 // SparseDelta is a compressed client update: the coordinates and values
-// of the largest-magnitude weight changes.
+// of the largest-magnitude weight changes, at the width of the update it
+// compresses. Like Update's Weights/Weights32, exactly one of Values
+// (f64) and Values32 (f32, 4-byte values on the wire) is set, so
+// sparsification and narrow encoding compose exactly as §3.5 claims the
+// method's impact factors compose with any communication technique.
 type SparseDelta struct {
-	Dim     int
-	Indices []int
-	Values  []float64
+	Dim      int
+	Indices  []int
+	Values   []float64
+	Values32 []float32
 }
 
 // CompressTopK keeps the k largest-magnitude entries of (weights −
-// base). k is clamped to the vector length.
-func CompressTopK(weights, base []float64, k int) SparseDelta {
+// base), in the vectors' own arithmetic. k is clamped to the vector
+// length.
+func CompressTopK[E tensor.Elem](weights, base []E, k int) SparseDelta {
 	if len(weights) != len(base) {
 		panic(fmt.Sprintf("fl: CompressTopK length mismatch %d vs %d", len(weights), len(base)))
 	}
@@ -41,7 +47,7 @@ func CompressTopK(weights, base []float64, k int) SparseDelta {
 	}
 	type iv struct {
 		i int
-		v float64
+		v E
 	}
 	all := make([]iv, n)
 	for i := range weights {
@@ -57,41 +63,64 @@ func CompressTopK(weights, base []float64, k int) SparseDelta {
 		}
 		return da > db
 	})
-	d := SparseDelta{Dim: n, Indices: make([]int, k), Values: make([]float64, k)}
+	d := SparseDelta{Dim: n, Indices: make([]int, k)}
+	vals := make([]E, k)
 	top := all[:k]
 	sort.Slice(top, func(a, b int) bool { return top[a].i < top[b].i })
 	for j, e := range top {
 		d.Indices[j] = e.i
-		d.Values[j] = e.v
+		vals[j] = e.v
+	}
+	switch v := any(vals).(type) {
+	case []float64:
+		d.Values = v
+	case []float32:
+		d.Values32 = v
 	}
 	return d
 }
 
-// Decompress reconstructs the full weight vector w = base + Δ.
+// Decompress reconstructs the full weight vector w = base + Δ. An f32
+// delta applies to the float32 image of base in float32 arithmetic and
+// returns the exact widening, like AggregateOn on an f32 cohort.
 func (d SparseDelta) Decompress(base []float64) []float64 {
+	if d.Values32 != nil {
+		return tensor.Widen(nil, applyDelta(d, d.Values32, tensor.Quantize(nil, base)))
+	}
+	return applyDelta(d, d.Values, base)
+}
+
+// applyDelta returns a copy of base with the delta's values added at
+// its indices, at width E.
+func applyDelta[E tensor.Elem](d SparseDelta, vals, base []E) []E {
 	if len(base) != d.Dim {
 		panic(fmt.Sprintf("fl: Decompress base length %d, delta dim %d", len(base), d.Dim))
 	}
-	out := append([]float64(nil), base...)
+	out := slices.Clone(base)
 	for j, i := range d.Indices {
 		if i < 0 || i >= d.Dim {
 			panic(fmt.Sprintf("fl: Decompress index %d out of %d", i, d.Dim))
 		}
-		out[i] += d.Values[j]
+		out[i] += vals[j]
 	}
 	return out
 }
 
 // WireSize returns the encoded byte size of the sparse delta (4-byte
-// indices + 8-byte values + header), for comparing against the dense
-// payload of serialize.VectorWireSize.
+// indices, 8- or 4-byte values, plus header), for comparing against the
+// dense payload of serialize.VectorWireSize/VectorWireSize32.
 func (d SparseDelta) WireSize() int {
-	return 8 + 4*len(d.Indices) + 8*len(d.Values)
+	return 8 + 4*len(d.Indices) + 8*len(d.Values) + 4*len(d.Values32)
 }
 
-// CompressionRatio returns dense/sparse payload size.
+// CompressionRatio returns dense/sparse payload size at the delta's
+// width.
 func (d SparseDelta) CompressionRatio() float64 {
-	return float64(serialize.VectorWireSize(d.Dim)) / float64(d.WireSize())
+	prec := F64
+	if d.Values32 != nil {
+		prec = F32
+	}
+	return float64(weightWireSize(prec, d.Dim)) / float64(d.WireSize())
 }
 
 // CompressionError returns the L2 norm of the dropped delta mass — the
@@ -117,6 +146,10 @@ func CompressUpdates(updates []Update, global []float64, keepFrac float64) []Spa
 // the pool's lanes (stealable like any engine job when the pool is
 // busy), one update per index slot. A nil pool runs inline. The result
 // is bit-identical to the sequential path at any pool width.
+//
+// The deltas take the cohort's width: an f32 cohort compresses against
+// the float32 image of global — exact, since the run loop keeps an f32
+// run's global model on the float32 lattice.
 func CompressUpdatesOn(updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta {
 	if keepFrac <= 0 || keepFrac > 1 {
 		panic(fmt.Sprintf("fl: keepFrac %v out of (0,1]", keepFrac))
@@ -125,137 +158,40 @@ func CompressUpdatesOn(updates []Update, global []float64, keepFrac float64, poo
 	if k < 1 {
 		k = 1
 	}
+	if cohortWidth(updates) == F32 {
+		return compressOn(updates, tensor.Quantize(nil, global), k, pool)
+	}
+	return compressOn(updates, global, k, pool)
+}
+
+// compressOn compresses every update of a width-E cohort against base.
+func compressOn[E tensor.Elem](updates []Update, base []E, k int, pool *engine.Pool) []SparseDelta {
 	out := make([]SparseDelta, len(updates))
 	pool.For(len(updates), func(i int) {
-		out[i] = CompressTopK(updates[i].Weights, global, k)
+		out[i] = CompressTopK(weightsAt[E](updates, i), base, k)
 	})
 	return out
 }
 
-// DecompressUpdates reconstructs dense updates from sparse deltas,
-// preserving the metadata of the originals.
+// DecompressUpdates reconstructs dense updates from sparse deltas at
+// each delta's width, preserving the metadata of the originals.
 func DecompressUpdates(updates []Update, deltas []SparseDelta, global []float64) []Update {
 	if len(updates) != len(deltas) {
 		panic("fl: DecompressUpdates length mismatch")
 	}
+	var base32 []float32
 	out := make([]Update, len(updates))
 	for i, u := range updates {
 		out[i] = u
-		out[i].Weights = deltas[i].Decompress(global)
-	}
-	return out
-}
-
-// SparseDelta32 is the f32-mode compressed client update: top-k weight
-// deltas at half width (4-byte values), composing the two wire savings
-// — sparsification and narrow encoding — exactly as §3.5 claims the
-// method's impact factors compose with any communication technique.
-type SparseDelta32 struct {
-	Dim     int
-	Indices []int
-	Values  []float32
-}
-
-// CompressTopK32 keeps the k largest-magnitude entries of (weights −
-// base), all in float32 arithmetic. k is clamped to the vector length.
-func CompressTopK32(weights, base []float32, k int) SparseDelta32 {
-	if len(weights) != len(base) {
-		panic(fmt.Sprintf("fl: CompressTopK32 length mismatch %d vs %d", len(weights), len(base)))
-	}
-	if k <= 0 {
-		panic("fl: CompressTopK32 with non-positive k")
-	}
-	n := len(weights)
-	if k > n {
-		k = n
-	}
-	type iv struct {
-		i int
-		v float32
-	}
-	all := make([]iv, n)
-	for i := range weights {
-		all[i] = iv{i, weights[i] - base[i]}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		da, db := all[a].v, all[b].v
-		if da < 0 {
-			da = -da
+		d := deltas[i]
+		if d.Values32 == nil {
+			out[i].Weights = applyDelta(d, d.Values, global)
+			continue
 		}
-		if db < 0 {
-			db = -db
+		if base32 == nil {
+			base32 = tensor.Quantize(nil, global)
 		}
-		return da > db
-	})
-	d := SparseDelta32{Dim: n, Indices: make([]int, k), Values: make([]float32, k)}
-	top := all[:k]
-	sort.Slice(top, func(a, b int) bool { return top[a].i < top[b].i })
-	for j, e := range top {
-		d.Indices[j] = e.i
-		d.Values[j] = e.v
-	}
-	return d
-}
-
-// Decompress reconstructs the full float32 weight vector w = base + Δ.
-func (d SparseDelta32) Decompress(base []float32) []float32 {
-	if len(base) != d.Dim {
-		panic(fmt.Sprintf("fl: Decompress32 base length %d, delta dim %d", len(base), d.Dim))
-	}
-	out := append([]float32(nil), base...)
-	for j, i := range d.Indices {
-		if i < 0 || i >= d.Dim {
-			panic(fmt.Sprintf("fl: Decompress32 index %d out of %d", i, d.Dim))
-		}
-		out[i] += d.Values[j]
-	}
-	return out
-}
-
-// WireSize returns the encoded byte size of the f32 sparse delta
-// (4-byte indices + 4-byte values + header).
-func (d SparseDelta32) WireSize() int {
-	return 8 + 4*len(d.Indices) + 4*len(d.Values)
-}
-
-// CompressionRatio returns dense-f32/sparse-f32 payload size.
-func (d SparseDelta32) CompressionRatio() float64 {
-	return float64(serialize.VectorWireSize32(d.Dim)) / float64(d.WireSize())
-}
-
-// CompressUpdates32On converts an f32-mode round's updates (Weights32)
-// into sparse f32 deltas against the global model, keeping a fraction
-// of coordinates, fanned out on an engine pool exactly like
-// CompressUpdatesOn (bit-identical at any pool width). The global base
-// is quantized once — exact, since the run loop keeps it on the
-// float32 lattice.
-func CompressUpdates32On(updates []Update, global []float64, keepFrac float64, pool *engine.Pool) []SparseDelta32 {
-	if keepFrac <= 0 || keepFrac > 1 {
-		panic(fmt.Sprintf("fl: keepFrac %v out of (0,1]", keepFrac))
-	}
-	k := int(keepFrac * float64(len(global)))
-	if k < 1 {
-		k = 1
-	}
-	base := tensor.Quantize(nil, global)
-	out := make([]SparseDelta32, len(updates))
-	pool.For(len(updates), func(i int) {
-		out[i] = CompressTopK32(updates[i].Weights32, base, k)
-	})
-	return out
-}
-
-// DecompressUpdates32 reconstructs dense f32 updates from sparse
-// deltas, preserving the metadata of the originals.
-func DecompressUpdates32(updates []Update, deltas []SparseDelta32, global []float64) []Update {
-	if len(updates) != len(deltas) {
-		panic("fl: DecompressUpdates32 length mismatch")
-	}
-	base := tensor.Quantize(nil, global)
-	out := make([]Update, len(updates))
-	for i, u := range updates {
-		out[i] = u
-		out[i].Weights32 = deltas[i].Decompress(base)
+		out[i].Weights32 = applyDelta(d, d.Values32, base32)
 	}
 	return out
 }

@@ -105,20 +105,6 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunDeprecatedParallelFlag keeps the legacy Parallel bool working
-// and bit-identical to sequential execution.
-func TestRunDeprecatedParallelFlag(t *testing.T) {
-	const seed = 13
-	run := func(parallel bool) *Result {
-		clients, test, cfg := detFederation(t, seed)
-		cfg.Parallel = parallel
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
-	}
-	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("Parallel=true differs from sequential")
-	}
-}
-
 // TestRunSharedPool runs on a caller-owned engine pool (the experiments
 // grid configuration) and checks the result still matches sequential.
 func TestRunSharedPool(t *testing.T) {

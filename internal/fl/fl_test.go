@@ -250,7 +250,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	cfg := runConfig(tr, 3, 4)
 	seq := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
 	cfgP := cfg
-	cfgP.Parallel = true
+	cfgP.Workers = 4
 	par := Run(cfgP, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
 	if len(seq.Accuracy) != len(par.Accuracy) {
 		t.Fatal("eval counts differ")

@@ -3,7 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"feddrl/internal/engine"
 	"feddrl/internal/tensor"
@@ -26,21 +26,25 @@ import (
 //     for any pool width, including a nil pool. Parallel
 //     implementations fan out over disjoint units (coordinate segments
 //     or pairwise distances) and keep every per-unit fold sequential.
-//   - Merge32 is the float32-mode twin over Update.Weights32; Merge
-//     and Merge32 are never mixed within one run.
+//   - Merge reads Update.Weights and Merge32 reads Update.Weights32;
+//     the run loop calls the one matching its Precision. A cohort of
+//     the other width, of mixed widths or without weights panics.
+//
+// Each built-in rule is one generic body over tensor.Elem that both
+// methods call.
 type Merger interface {
 	Name() string
 	// Merge produces the merged float64 vector. pool may be nil for a
 	// sequential merge.
 	Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64
-	// Merge32 is the float32 twin of Merge, reading Update.Weights32.
+	// Merge32 is Merge over an f32 cohort, producing a float32 vector.
 	Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32
 }
 
 // mergeP dispatches the merge on the run's precision through an
 // optional Merger. A nil merger resolves to WeightedMerge, whose
-// output is byte-identical to the historical aggregateP path, so the
-// zero value of RunConfig.Merger changes nothing.
+// output is byte-identical to AggregateOn, so the zero value of
+// RunConfig.Merger changes nothing.
 func mergeP(prec Precision, m Merger, updates []Update, alpha []float64, pool *engine.Pool) []float64 {
 	if m == nil {
 		m = WeightedMerge{}
@@ -52,22 +56,22 @@ func mergeP(prec Precision, m Merger, updates []Update, alpha []float64, pool *e
 }
 
 // WeightedMerge is the default impact-factor merger: the convex
-// combination Σ_k α_k·w_k computed by AggregateOn/AggregateOn32. It is
-// byte-identical to calling those functions directly, which keeps every
-// historical run (and every cached experiment cell) valid.
+// combination Σ_k α_k·w_k of AggregateOn. It is byte-identical to
+// calling AggregateOn directly, which keeps every historical run (and
+// every cached experiment cell) valid.
 type WeightedMerge struct{}
 
 // Name implements Merger.
 func (WeightedMerge) Name() string { return "weighted" }
 
-// Merge implements Merger by delegating to AggregateOn.
+// Merge implements Merger.
 func (WeightedMerge) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	return AggregateOn(updates, alpha, pool)
+	return aggregate[float64](updates, alpha, pool)
 }
 
-// Merge32 implements Merger by delegating to AggregateOn32.
+// Merge32 implements Merger.
 func (WeightedMerge) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	return AggregateOn32(updates, alpha, pool)
+	return aggregate[float32](updates, alpha, pool)
 }
 
 // Median merges by coordinate-wise median, ignoring impact factors.
@@ -81,32 +85,23 @@ func (Median) Name() string { return "median" }
 
 // Merge implements Merger.
 func (Median) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	dim := mergeDims(updates, alpha)
-	out := make([]float64, dim)
-	coordMerge(updates, out, pool, func(vals []float64) float64 {
-		sort.Float64s(vals)
-		k := len(vals)
-		if k%2 == 1 {
-			return vals[k/2]
-		}
-		return (vals[k/2-1] + vals[k/2]) / 2
-	})
-	return out
+	return coordMerge(updates, alpha, pool, median[float64])
 }
 
 // Merge32 implements Merger.
 func (Median) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	dim := mergeDims32(updates, alpha)
-	out := make([]float32, dim)
-	coordMerge32(updates, out, pool, func(vals []float32) float32 {
-		sortFloat32(vals)
-		k := len(vals)
-		if k%2 == 1 {
-			return vals[k/2]
-		}
-		return (vals[k/2-1] + vals[k/2]) / 2
-	})
-	return out
+	return coordMerge(updates, alpha, pool, median[float32])
+}
+
+// median sorts vals (NaNs first, as slices.Sort orders them) and
+// returns the middle value, or the mean of the two middle values.
+func median[E tensor.Elem](vals []E) E {
+	slices.Sort(vals)
+	k := len(vals)
+	if k%2 == 1 {
+		return vals[k/2]
+	}
+	return (vals[k/2-1] + vals[k/2]) / 2
 }
 
 // TrimmedMean merges by coordinate-wise β-trimmed mean: per
@@ -139,36 +134,27 @@ func (t TrimmedMean) trimCount(k int) int {
 
 // Merge implements Merger.
 func (t TrimmedMean) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	dim := mergeDims(updates, alpha)
-	out := make([]float64, dim)
-	coordMerge(updates, out, pool, func(vals []float64) float64 {
-		sort.Float64s(vals)
-		n := t.trimCount(len(vals))
-		kept := vals[n : len(vals)-n]
-		var sum float64
-		for _, v := range kept {
-			sum += v
-		}
-		return sum / float64(len(kept))
-	})
-	return out
+	return coordMerge(updates, alpha, pool, trimmedMean[float64](t))
 }
 
 // Merge32 implements Merger.
 func (t TrimmedMean) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	dim := mergeDims32(updates, alpha)
-	out := make([]float32, dim)
-	coordMerge32(updates, out, pool, func(vals []float32) float32 {
-		sortFloat32(vals)
+	return coordMerge(updates, alpha, pool, trimmedMean[float32](t))
+}
+
+// trimmedMean returns t's per-coordinate statistic at width E: the
+// mean of the sorted values left after the trim, summed at width E.
+func trimmedMean[E tensor.Elem](t TrimmedMean) func(vals []E) E {
+	return func(vals []E) E {
+		slices.Sort(vals)
 		n := t.trimCount(len(vals))
 		kept := vals[n : len(vals)-n]
-		var sum float32
+		var sum E
 		for _, v := range kept {
 			sum += v
 		}
-		return sum / float32(len(kept))
-	})
-	return out
+		return sum / E(len(kept))
+	}
 }
 
 // Krum merges by selecting the single update whose summed squared
@@ -206,7 +192,7 @@ func (k Krum) krumPick(n int, d2 []float64) int {
 			}
 			row = append(row, d2[pairIndex(n, i, j)])
 		}
-		sort.Float64s(row)
+		slices.Sort(row)
 		var score float64
 		for _, d := range row[:neighbors] {
 			score += d
@@ -230,45 +216,38 @@ func pairIndex(n, i, j int) int {
 
 // Merge implements Merger.
 func (k Krum) Merge(updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	n := len(mergeVecs(updates, alpha))
-	d2 := krumDistances(updates, pool, func(i, j int) float64 {
-		return sqDist(updates[i].Weights, updates[j].Weights)
-	})
-	pick := k.krumPick(n, d2)
-	out := make([]float64, len(updates[pick].Weights))
-	copy(out, updates[pick].Weights)
-	return out
+	return krum[float64](k, updates, alpha, pool)
 }
 
 // Merge32 implements Merger.
 func (k Krum) Merge32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	n := len(mergeVecs32(updates, alpha))
-	d2 := krumDistances(updates, pool, func(i, j int) float64 {
-		return sqDist32(updates[i].Weights32, updates[j].Weights32)
-	})
-	pick := k.krumPick(n, d2)
-	out := make([]float32, len(updates[pick].Weights32))
-	copy(out, updates[pick].Weights32)
-	return out
+	return krum[float32](k, updates, alpha, pool)
+}
+
+// krum returns a copy of the update k selects from a width-E cohort.
+func krum[E tensor.Elem](k Krum, updates []Update, alpha []float64, pool *engine.Pool) []E {
+	vecs := mergeVecs[E](updates, alpha)
+	d2 := krumDistances(vecs, pool)
+	return slices.Clone(vecs[k.krumPick(len(vecs), d2)])
 }
 
 // krumDistances fills the flattened upper triangle of pairwise squared
 // distances. Each pair is one pool task with a sequential fold, so the
 // buffer is bit-identical at any pool width.
-func krumDistances(updates []Update, pool *engine.Pool, dist func(i, j int) float64) []float64 {
-	n := len(updates)
+func krumDistances[E tensor.Elem](vecs [][]E, pool *engine.Pool) []float64 {
+	n := len(vecs)
 	d2 := make([]float64, n*(n-1)/2)
 	if pool == nil || len(d2) < 2 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				d2[pairIndex(n, i, j)] = dist(i, j)
+				d2[pairIndex(n, i, j)] = sqDist(vecs[i], vecs[j])
 			}
 		}
 		return d2
 	}
 	pool.ForWorkerHinted(len(d2), engine.SizeCoarse, 0, func(_, p int) {
 		i, j := pairFromIndex(n, p)
-		d2[p] = dist(i, j)
+		d2[p] = sqDist(vecs[i], vecs[j])
 	})
 	return d2
 }
@@ -285,20 +264,9 @@ func pairFromIndex(n, p int) (int, int) {
 }
 
 // sqDist is the squared L2 distance between two equal-length vectors,
-// folded sequentially.
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// sqDist32 accumulates the squared distance of two f32 vectors in f64,
-// matching the package convention that f32 state may use f64 compute
-// as long as results are deterministic.
-func sqDist32(a, b []float32) float64 {
+// folded sequentially in f64 at either width (f32 state may use f64
+// compute as long as the result is deterministic).
+func sqDist[E tensor.Elem](a, b []E) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
@@ -307,126 +275,47 @@ func sqDist32(a, b []float32) float64 {
 	return s
 }
 
-// mergeVecs validates a float64 merge cohort (same checks as
-// AggregateOn minus the convexity constraint, which order-statistic
-// mergers do not require) and returns the weight vectors.
-func mergeVecs(updates []Update, alpha []float64) [][]float64 {
+// mergeVecs validates a width-E merge cohort — non-empty, one impact
+// factor per update, every update carrying width-E weights of one
+// dimension (the checks of AggregateOn minus the convexity constraint,
+// which order-statistic mergers do not require) — and returns the
+// weight vectors.
+func mergeVecs[E tensor.Elem](updates []Update, alpha []float64) [][]E {
 	if len(updates) == 0 {
 		panic("fl: merge of zero updates")
 	}
 	if len(alpha) != len(updates) {
 		panic(fmt.Sprintf("fl: %d impact factors for %d updates", len(alpha), len(updates)))
 	}
-	vecs := make([][]float64, len(updates))
-	dim := len(updates[0].Weights)
-	for i, u := range updates {
-		if len(u.Weights) != dim {
-			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(u.Weights), dim))
+	vecs := make([][]E, len(updates))
+	for i := range updates {
+		vecs[i] = weightsAt[E](updates, i)
+		if len(vecs[i]) != len(vecs[0]) {
+			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(vecs[i]), len(vecs[0])))
 		}
-		vecs[i] = u.Weights
 	}
 	return vecs
 }
 
-// mergeDims validates the cohort and returns the model dimension.
-func mergeDims(updates []Update, alpha []float64) int {
-	vecs := mergeVecs(updates, alpha)
-	return len(vecs[0])
-}
-
-// mergeVecs32 is the float32 twin of mergeVecs.
-func mergeVecs32(updates []Update, alpha []float64) [][]float32 {
-	if len(updates) == 0 {
-		panic("fl: merge of zero updates")
-	}
-	if len(alpha) != len(updates) {
-		panic(fmt.Sprintf("fl: %d impact factors for %d updates", len(alpha), len(updates)))
-	}
-	vecs := make([][]float32, len(updates))
-	dim := len(updates[0].Weights32)
-	for i, u := range updates {
-		if len(u.Weights32) != dim {
-			panic(fmt.Sprintf("fl: update %d has dim %d, want %d", i, len(u.Weights32), dim))
-		}
-		vecs[i] = u.Weights32
-	}
-	return vecs
-}
-
-// mergeDims32 validates the f32 cohort and returns the model dimension.
-func mergeDims32(updates []Update, alpha []float64) int {
-	vecs := mergeVecs32(updates, alpha)
-	return len(vecs[0])
-}
-
-// coordMerge fans a per-coordinate order statistic out over aggSegment
-// coordinate spans. Each coordinate gathers its k values into a
-// worker-local scratch and reduces them with stat; coordinates are
-// independent, so any pool width produces identical bytes.
-func coordMerge(updates []Update, out []float64, pool *engine.Pool, stat func(vals []float64) float64) {
-	k := len(updates)
-	dim := len(out)
-	seg := func(lo, hi int, vals []float64) {
+// coordMerge applies a per-coordinate order statistic to a width-E
+// cohort, fanned out over aggSegment coordinate spans. Each coordinate
+// gathers its k values into a span-local scratch and reduces them with
+// stat; coordinates are independent, so any pool width produces
+// identical bytes.
+func coordMerge[E tensor.Elem](updates []Update, alpha []float64, pool *engine.Pool, stat func(vals []E) E) []E {
+	vecs := mergeVecs[E](updates, alpha)
+	out := make([]E, len(vecs[0]))
+	forSegments(pool, len(out), func(lo, hi int) {
+		vals := make([]E, len(vecs))
 		for c := lo; c < hi; c++ {
-			for i, u := range updates {
-				vals[i] = u.Weights[c]
+			for i, v := range vecs {
+				vals[i] = v[c]
 			}
 			out[c] = stat(vals)
 		}
-	}
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs < 2 {
-		seg(0, dim, make([]float64, k))
-		return
-	}
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
-		}
-		seg(lo, hi, make([]float64, k))
 	})
+	return out
 }
-
-// coordMerge32 is the float32 twin of coordMerge.
-func coordMerge32(updates []Update, out []float32, pool *engine.Pool, stat func(vals []float32) float32) {
-	k := len(updates)
-	dim := len(out)
-	seg := func(lo, hi int, vals []float32) {
-		for c := lo; c < hi; c++ {
-			for i, u := range updates {
-				vals[i] = u.Weights32[c]
-			}
-			out[c] = stat(vals)
-		}
-	}
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs < 2 {
-		seg(0, dim, make([]float32, k))
-		return
-	}
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
-		}
-		seg(lo, hi, make([]float32, k))
-	})
-}
-
-// sortFloat32 sorts ascending. NaNs are kept deterministic by ordering
-// them before every number (mirroring sort.Float64s' NaN handling).
-func sortFloat32(v []float32) {
-	sort.Slice(v, func(i, j int) bool {
-		a, b := v[i], v[j]
-		return a < b || (isNaN32(a) && !isNaN32(b))
-	})
-}
-
-// isNaN32 avoids a float64 conversion in the sort hot path.
-func isNaN32(f float32) bool { return f != f }
 
 // ParseMerger resolves a CLI merger name. The empty string and
 // "weighted" both select the default impact-factor merge ("" maps to a

@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -28,9 +31,9 @@ func mergeCohort(k, dim int, seed uint64) ([]Update, []float64) {
 			w[c] = r.Norm()
 		}
 		updates[i] = Update{
-			ClientID: i,
-			N:        10 + i,
-			Weights:  w,
+			ClientID:  i,
+			N:         10 + i,
+			Weights:   w,
 			Weights32: tensor.Quantize(nil, w),
 		}
 		alpha[i] = float64(updates[i].N)
@@ -252,5 +255,184 @@ func TestParseMerger(t *testing.T) {
 	}
 	if _, err := ParseMerger("nope", 0, 10); err == nil {
 		t.Fatal("unknown merger did not error")
+	}
+}
+
+// specialCohort builds k updates of dim coordinates in both widths,
+// about 40% of them drawn from a palette of special values: quiet NaNs
+// with and without payload (including the f32 payload 0x7fc00001), a
+// negative NaN, ±0 and ±Inf. The ordinary values are mostly small
+// integers, so ties abound.
+func specialCohort(k, dim int, seed uint64) []Update {
+	pal64 := []uint64{0x7ff8000000000000, 0x7ff8000000000001, 0xfff8000000000000, 0, 1 << 63, 0x7ff0000000000000, 0xfff0000000000000}
+	pal32 := []uint32{0x7fc00000, 0x7fc00001, 0xffc00000, 0, 1 << 31, 0x7f800000, 0xff800000}
+	r := rng.New(seed)
+	updates := make([]Update, k)
+	for i := range updates {
+		w := make([]float64, dim)
+		w32 := make([]float32, dim)
+		for c := range w {
+			if r.Intn(5) < 2 {
+				j := r.Intn(len(pal64))
+				w[c] = math.Float64frombits(pal64[j])
+				w32[c] = math.Float32frombits(pal32[j])
+				continue
+			}
+			x := r.Norm()
+			if r.Intn(2) == 0 {
+				x = float64(r.Intn(7) - 3)
+			}
+			w[c], w32[c] = x, float32(x)
+		}
+		updates[i] = Update{ClientID: i, N: 1, Weights: w, Weights32: w32}
+	}
+	return updates
+}
+
+// mergeDigest hashes a merged vector's bits. NaN payloads are kept
+// only when the merge selects its outputs (odd-k median, Krum): values
+// computed by arithmetic on NaNs carry a platform-defined payload, so
+// they hash as one canonical NaN.
+func mergeDigest[E tensor.Elem](v []E, keepPayload bool) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, x := range v {
+		var bits uint64
+		switch x := any(x).(type) {
+		case float64:
+			bits = math.Float64bits(x)
+			if !keepPayload && x != x {
+				bits = 0x7ff8000000000000
+			}
+		case float32:
+			bits = uint64(math.Float32bits(x))
+			if !keepPayload && x != x {
+				bits = 0x7fc00000
+			}
+		}
+		binary.LittleEndian.PutUint64(b[:], bits)
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestRobustMergersSpecialValues pins Median, TrimmedMean and Krum in
+// both widths, at no pool and a 4-lane pool, for even and odd k, on
+// cohorts full of NaN payloads, ±0 and ±Inf. The digests were recorded
+// with the sort.Float64s/sort.Slice implementations these rules used
+// before they moved to slices.Sort; they fix how the sorts order NaNs
+// and signed zeros.
+func TestRobustMergersSpecialValues(t *testing.T) {
+	want := map[string]uint64{
+		"krum/k=4/f32":     0xe8531856c45a97cb,
+		"krum/k=4/f64":     0x95f7740143b7900a,
+		"krum/k=5/f32":     0x5f3fed2cf28bfce0,
+		"krum/k=5/f64":     0x8906f226e421ad3f,
+		"krum/k=16/f32":    0x3fc4aa1e48813a1c,
+		"krum/k=16/f64":    0x2d1af8929a99d345,
+		"krum/k=17/f32":    0xa760b319822a1b90,
+		"krum/k=17/f64":    0xe00d6f9f3a542978,
+		"median/k=4/f32":   0x836ffe2e1748ea77,
+		"median/k=4/f64":   0x27d5558d53adc31e,
+		"median/k=5/f32":   0xe36e67e5b29f358c,
+		"median/k=5/f64":   0xe2a434eead267c42,
+		"median/k=16/f32":  0xfb238b1c36f80488,
+		"median/k=16/f64":  0x1160da640d6c37a0,
+		"median/k=17/f32":  0x37dfe442375593c5,
+		"median/k=17/f64":  0x89818ec2d75e7622,
+		"trimmed/k=4/f32":  0xd840b1a8cb9b834e,
+		"trimmed/k=4/f64":  0x732d61722be83d78,
+		"trimmed/k=5/f32":  0xaaf206fa149e0a7c,
+		"trimmed/k=5/f64":  0xad2636d3df97017f,
+		"trimmed/k=16/f32": 0x1672552be3b77213,
+		"trimmed/k=16/f64": 0x29d3a90d43f7666a,
+		"trimmed/k=17/f32": 0x17a27e50993d2121,
+		"trimmed/k=17/f64": 0xbe662bfecc6f8633,
+	}
+	for _, k := range []int{4, 5, 16, 17} {
+		updates := specialCohort(k, 2*aggSegment+5, uint64(100+k))
+		alpha := make([]float64, k)
+		for i := range alpha {
+			alpha[i] = 1 / float64(k)
+		}
+		for _, m := range []Merger{Median{}, TrimmedMean{Beta: 0.2}, Krum{F: 1}} {
+			_, isMedian := m.(Median)
+			_, isKrum := m.(Krum)
+			selects := isKrum || (isMedian && k%2 == 1)
+			for _, workers := range []int{0, 4} {
+				var pool *engine.Pool
+				if workers > 0 {
+					pool = engine.New(workers)
+				}
+				got := map[string]uint64{
+					fmt.Sprintf("%s/k=%d/f64", m.Name(), k): mergeDigest(m.Merge(updates, alpha, pool), selects),
+					fmt.Sprintf("%s/k=%d/f32", m.Name(), k): mergeDigest(m.Merge32(updates, alpha, pool), selects),
+				}
+				pool.Close()
+				for key, d := range got {
+					if d != want[key] {
+						t.Errorf("%s workers=%d: digest %#x, want %#x", key, workers, d, want[key])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWrongWidthCohortsPanic: every merge entry fails loudly on a
+// cohort it cannot merge — the other width, mixed widths, or no
+// weights — instead of returning an empty model, and merges the
+// cohorts it can. AggregateOn takes its width from the cohort, so only
+// the mixed and weightless cohorts are misuse for it.
+func TestWrongWidthCohortsPanic(t *testing.T) {
+	f64 := Update{Weights: []float64{1, 2}}
+	f32 := Update{Weights32: []float32{1, 2}}
+	cohorts := []struct {
+		name  string
+		width Precision // "" when no entry can merge it
+		ups   []Update
+	}{
+		{"f64", F64, []Update{f64, f64}},
+		{"f32", F32, []Update{f32, f32}},
+		{"mixed f64 first", "", []Update{f64, f32}},
+		{"mixed f32 first", "", []Update{f32, f64}},
+		{"no weights", "", []Update{{}, {}}},
+		{"partly weightless", "", []Update{f64, {}}},
+	}
+	type entry struct {
+		name  string
+		width Precision // "" reads the width from the cohort
+		merge func([]Update, []float64, *engine.Pool) int
+	}
+	entries := []entry{{"AggregateOn", "", func(u []Update, a []float64, p *engine.Pool) int {
+		return len(AggregateOn(u, a, p))
+	}}}
+	for _, m := range []Merger{WeightedMerge{}, Median{}, TrimmedMean{Beta: 0.2}, Krum{F: 1}} {
+		m := m
+		entries = append(entries,
+			entry{m.Name() + ".Merge", F64, func(u []Update, a []float64, p *engine.Pool) int { return len(m.Merge(u, a, p)) }},
+			entry{m.Name() + ".Merge32", F32, func(u []Update, a []float64, p *engine.Pool) int { return len(m.Merge32(u, a, p)) }})
+	}
+	pool := engine.New(4)
+	defer pool.Close()
+	alpha := []float64{0.5, 0.5}
+	for _, e := range entries {
+		for _, c := range cohorts {
+			mergeable := c.width != "" && (e.width == "" || e.width == c.width)
+			for _, p := range []*engine.Pool{nil, pool} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil && mergeable {
+							t.Errorf("%s on %s cohort panicked: %v", e.name, c.name, r)
+						} else if r == nil && !mergeable {
+							t.Errorf("%s on %s cohort did not panic", e.name, c.name)
+						}
+					}()
+					if n := e.merge(c.ups, alpha, p); mergeable && n != 2 {
+						t.Errorf("%s on %s cohort returned %d coordinates, want 2", e.name, c.name, n)
+					}
+				}()
+			}
+		}
 	}
 }

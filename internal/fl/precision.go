@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 
-	"feddrl/internal/engine"
 	"feddrl/internal/tensor"
 )
 
@@ -23,11 +22,18 @@ import (
 //     quantize the uploaded weights once, at the round boundary, with
 //     one round-to-nearest-even conversion per weight
 //     (nn.ParamVector32) — 4 bytes per weight on the wire.
-//   - Aggregation (AggregateOn32) runs in pure float32 arithmetic:
+//   - Aggregation of an f32 cohort runs in pure float32 arithmetic:
 //     impact factors rounded to float32, k-ascending Axpy32 folds, one
 //     rounding per multiply and one per add. Results are bit-identical
 //     across kernel backends and worker counts, exactly like the f64
 //     path — the same determinism contract at half width.
+//
+// Every federated-state operation — AggregateOn, the built-in Mergers,
+// compression and the quarantine screen — is written once over
+// tensor.Elem. The width comes from the data: a cohort is f32 when its
+// updates carry Weights32 and f64 when they carry Weights, and a cohort
+// with the wrong width, mixed widths or no weights is library misuse
+// that panics (see weightsAt).
 //
 // F64 (the default, including the zero value "") is bit-for-bit the
 // pre-precision-mode behavior.
@@ -73,87 +79,35 @@ func (p Precision) BytesPerWeight() int {
 	return 8
 }
 
-// Aggregate32 computes the Eq. 4 merge over float32 uploads into a
-// fresh float32 vector — the sequential reference for AggregateOn32.
-func Aggregate32(updates []Update, alpha []float64) []float32 {
-	return AggregateOn32(updates, alpha, nil)
+// cohortWidth reads a cohort's width from its first update: F32 when
+// it carries only Weights32, F64 otherwise. weightsAt then holds every
+// update of the cohort to that width.
+func cohortWidth(updates []Update) Precision {
+	if len(updates) > 0 && updates[0].Weights == nil && updates[0].Weights32 != nil {
+		return F32
+	}
+	return F64
 }
 
-// AggregateOn32 is the f32-mode weighted model merge of Eq. 4:
-// w ← Σ_k α_k·w_k over the updates' Weights32 vectors, executed
-// segment-parallel on a worker pool (nil means sequential). The impact
-// factors are validated at full precision (same convexity contract as
-// AggregateOn), then rounded once each to float32; the fold itself is
-// pure float32 arithmetic — for every output element a single
-// k-ascending chain of one-rounding multiplies and adds, whatever the
-// segmentation — so results are bit-identical to the sequential path at
-// any pool width and on any kernel backend.
-func AggregateOn32(updates []Update, alpha []float64, pool *engine.Pool) []float32 {
-	if len(updates) == 0 || len(alpha) != len(updates) {
-		panic(fmt.Sprintf("fl: Aggregate32 with %d updates and %d weights", len(updates), len(alpha)))
+// weightsAt returns update i's upload at width E. An update carrying no
+// weights, or only the other width, panics: a cohort has one width by
+// contract, so a wrong-width or mixed cohort is a caller bug, and
+// merging it would silently produce an empty model.
+func weightsAt[E tensor.Elem](updates []Update, i int) []E {
+	u := &updates[i]
+	if w, _ := any(u.Weights).([]E); w != nil {
+		return w
 	}
-	sum := 0.0
-	for _, a := range alpha {
-		if a < 0 {
-			panic("fl: negative impact factor")
-		}
-		sum += a
+	if w, _ := any(u.Weights32).([]E); w != nil {
+		return w
 	}
-	if sum < 0.999 || sum > 1.001 {
-		panic(fmt.Sprintf("fl: impact factors sum to %v, want 1", sum))
+	if u.Weights == nil && u.Weights32 == nil {
+		panic(fmt.Sprintf("fl: update %d (client %d) carries no weights", i, u.ClientID))
 	}
-	dim := len(updates[0].Weights32)
-	vecs := make([][]float32, len(updates))
-	for i, u := range updates {
-		if u.Weights32 == nil || len(u.Weights32) != dim {
-			panic("fl: inconsistent f32 weight vector lengths")
-		}
-		if !AllFinite32(u.Weights32) {
-			panic(fmt.Sprintf("fl: non-finite weights in update %d (client %d); screen uploads with AllFinite32 or the run loop's quarantine gate", i, u.ClientID))
-		}
-		vecs[i] = u.Weights32
+	have, want := F32, F64
+	if u.Weights != nil {
+		have, want = F64, F32
 	}
-	alpha32 := make([]float32, len(alpha))
-	for i, a := range alpha {
-		alpha32[i] = float32(a)
-	}
-	out := make([]float32, dim)
-	segs := (dim + aggSegment - 1) / aggSegment
-	if pool == nil || segs <= 1 {
-		weightedSum32(out, alpha32, vecs)
-		return out
-	}
-	pool.ForWorkerHinted(segs, engine.SizeFine, 0, func(_, s int) {
-		lo := s * aggSegment
-		hi := lo + aggSegment
-		if hi > dim {
-			hi = dim
-		}
-		sub := make([][]float32, len(vecs))
-		for k, v := range vecs {
-			sub[k] = v[lo:hi]
-		}
-		weightedSum32(out[lo:hi], alpha32, sub)
-	})
-	return out
-}
-
-// weightedSum32 folds dst = Σ_k alpha[k]·vecs[k] in ascending k with
-// the SIMD f32 axpy kernel — the f32 twin of mathx.WeightedSum.
-func weightedSum32(dst []float32, alpha []float32, vecs [][]float32) {
-	tensor.Fill32(dst, 0)
-	for k, v := range vecs {
-		tensor.Axpy32(alpha[k], v, dst)
-	}
-}
-
-// aggregateP dispatches the merge on the run's precision: the f64 path
-// is untouched, the f32 path folds at half width and widens the result
-// exactly back onto the float64-carried global vector (which thereby
-// stays on the float32 lattice).
-func aggregateP(prec Precision, updates []Update, alpha []float64, pool *engine.Pool) []float64 {
-	if prec == F32 {
-		return tensor.Widen(nil, AggregateOn32(updates, alpha, pool))
-	}
-	return AggregateOn(updates, alpha, pool)
+	panic(fmt.Sprintf("fl: update %d (client %d) carries %s weights in a %s merge; the cohort's width must match the entry (Merge for f64, Merge32 for f32)",
+		i, u.ClientID, have, want))
 }

@@ -146,10 +146,11 @@ func TestF32GlobalStaysOnLattice(t *testing.T) {
 	}
 }
 
-// TestAggregate32PoolInvariance: the segment-parallel f32 merge must be
+// TestAggregateF32PoolInvariance: the segment-parallel f32 merge must be
 // bit-identical to the sequential fold at any pool width, including
-// dimensions that straddle segment boundaries.
-func TestAggregate32PoolInvariance(t *testing.T) {
+// dimensions that straddle segment boundaries, and AggregateOn on an
+// f32 cohort must return the exact widening of that f32 fold.
+func TestAggregateF32PoolInvariance(t *testing.T) {
 	for _, dim := range []int{1, aggSegment - 1, aggSegment, aggSegment + 1, 3*aggSegment + 7} {
 		updates := make([]Update, 4)
 		alpha := []float64{0.1, 0.2, 0.3, 0.4}
@@ -160,23 +161,30 @@ func TestAggregate32PoolInvariance(t *testing.T) {
 			}
 			updates[k].Weights32 = w
 		}
-		want := Aggregate32(updates, alpha)
-		for _, workers := range []int{2, 3, 8} {
-			pool := engine.New(workers)
-			got := AggregateOn32(updates, alpha, pool)
+		want := WeightedMerge{}.Merge32(updates, alpha, nil)
+		for _, workers := range []int{0, 2, 3, 8} {
+			var pool *engine.Pool
+			if workers > 0 {
+				pool = engine.New(workers)
+			}
+			got := WeightedMerge{}.Merge32(updates, alpha, pool)
+			wide := AggregateOn(updates, alpha, pool)
 			pool.Close()
 			for i := range want {
 				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 					t.Fatalf("dim=%d workers=%d: element %d differs bitwise", dim, workers, i)
+				}
+				if math.Float64bits(float64(want[i])) != math.Float64bits(wide[i]) {
+					t.Fatalf("dim=%d workers=%d: AggregateOn element %d is not the widened f32 fold", dim, workers, i)
 				}
 			}
 		}
 	}
 }
 
-// TestAggregate32Validation: the f32 merge enforces the same impact-
+// TestAggregateF32Validation: the f32 merge enforces the same impact-
 // factor convexity contract as the f64 one.
-func TestAggregate32Validation(t *testing.T) {
+func TestAggregateF32Validation(t *testing.T) {
 	u := []Update{{Weights32: []float32{1, 2}}, {Weights32: []float32{3, 4}}}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -187,24 +195,24 @@ func TestAggregate32Validation(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("alpha length mismatch", func() { Aggregate32(u, []float64{1}) })
-	mustPanic("negative alpha", func() { Aggregate32(u, []float64{-0.5, 1.5}) })
-	mustPanic("non-convex alpha", func() { Aggregate32(u, []float64{0.9, 0.9}) })
+	mustPanic("alpha length mismatch", func() { Aggregate(u, []float64{1}) })
+	mustPanic("negative alpha", func() { Aggregate(u, []float64{-0.5, 1.5}) })
+	mustPanic("non-convex alpha", func() { Aggregate(u, []float64{0.9, 0.9}) })
 	mustPanic("inconsistent dims", func() {
-		Aggregate32([]Update{{Weights32: []float32{1}}, {Weights32: []float32{1, 2}}}, []float64{0.5, 0.5})
+		Aggregate([]Update{{Weights32: []float32{1}}, {Weights32: []float32{1, 2}}}, []float64{0.5, 0.5})
 	})
 	mustPanic("missing f32 weights", func() {
-		Aggregate32([]Update{{Weights: []float64{1}}}, []float64{1})
+		WeightedMerge{}.Merge32([]Update{{Weights: []float64{1}}}, []float64{1}, nil)
 	})
 }
 
-// TestCommPerRoundPHalvesWeightBytes: an F32 round's weight payload is
+// TestCommPerRoundF32HalvesWeightBytes: an F32 round's weight payload is
 // exactly half the F64 round's; only the fixed-width metadata (sample
 // counts, FedDRL losses, staleness tags) stays full-size.
-func TestCommPerRoundPHalvesWeightBytes(t *testing.T) {
+func TestCommPerRoundF32HalvesWeightBytes(t *testing.T) {
 	const k, wlen = 10, 5000
-	f64 := CommPerRoundP(FedAvg{}, k, wlen, F64)
-	f32 := CommPerRoundP(FedAvg{}, k, wlen, F32)
+	f64 := CommPerRound(FedAvg{}, k, wlen, F64)
+	f32 := CommPerRound(FedAvg{}, k, wlen, F32)
 	wantDown := k * serialize.VectorWireSize32(wlen)
 	if f32.DownlinkBytes != wantDown {
 		t.Fatalf("f32 downlink = %d, want %d", f32.DownlinkBytes, wantDown)
@@ -218,14 +226,13 @@ func TestCommPerRoundPHalvesWeightBytes(t *testing.T) {
 	if ratio > 0.55 {
 		t.Fatalf("f32 round moves %.3f of f64 bytes, want ≤ 0.55", ratio)
 	}
-	// CommPerRound and the F64 variant must agree exactly (the default
-	// path is untouched).
-	if CommPerRound(FedAvg{}, k, wlen) != f64 {
-		t.Fatal("CommPerRound differs from CommPerRoundP(..., F64)")
+	// The zero Precision is F64.
+	if CommPerRound(FedAvg{}, k, wlen, "") != f64 {
+		t.Fatal("CommPerRound at the zero precision differs from F64")
 	}
 	// The async variant narrows identically; staleness metadata stays.
-	a64 := CommAsyncRoundP(FedAvg{}, k, k-2, wlen, F64)
-	a32 := CommAsyncRoundP(FedAvg{}, k, k-2, wlen, F32)
+	a64 := CommAsyncRound(FedAvg{}, k, k-2, wlen, F64)
+	a32 := CommAsyncRound(FedAvg{}, k, k-2, wlen, F32)
 	if a64.UplinkBytes-a32.UplinkBytes != (k-2)*savedPerClient {
 		t.Fatal("async f32 uplink saving is not exactly the weight-payload delta")
 	}
@@ -251,8 +258,13 @@ func TestCompress32RoundTrip(t *testing.T) {
 	}
 
 	// Full-k is lossless bitwise.
-	full := CompressUpdates32On(updates, global, 1.0, nil)
-	rec := DecompressUpdates32(updates, full, global)
+	full := CompressUpdatesOn(updates, global, 1.0, nil)
+	for k, d := range full {
+		if d.Values != nil || len(d.Values32) != dim {
+			t.Fatalf("delta %d of an f32 cohort: %d f64 values, %d f32 values", k, len(d.Values), len(d.Values32))
+		}
+	}
+	rec := DecompressUpdates(updates, full, global)
 	for k := range updates {
 		for i := range updates[k].Weights32 {
 			if math.Float32bits(rec[k].Weights32[i]) != math.Float32bits(updates[k].Weights32[i]) {
@@ -264,15 +276,15 @@ func TestCompress32RoundTrip(t *testing.T) {
 	// Pool fan-out is bit-identical to inline.
 	pool := engine.New(4)
 	defer pool.Close()
-	sparse := CompressUpdates32On(updates, global, 0.25, nil)
-	par := CompressUpdates32On(updates, global, 0.25, pool)
+	sparse := CompressUpdatesOn(updates, global, 0.25, nil)
+	par := CompressUpdatesOn(updates, global, 0.25, pool)
 	if !reflect.DeepEqual(sparse, par) {
 		t.Fatal("pooled f32 compression differs from inline")
 	}
 
 	// Half-width values shrink the sparse payload vs the f64 encoding.
 	d32 := sparse[0]
-	d64 := SparseDelta{Dim: d32.Dim, Indices: d32.Indices, Values: make([]float64, len(d32.Values))}
+	d64 := SparseDelta{Dim: d32.Dim, Indices: d32.Indices, Values: make([]float64, len(d32.Values32))}
 	if d32.WireSize() >= d64.WireSize() {
 		t.Fatalf("f32 sparse wire %d not smaller than f64 sparse wire %d", d32.WireSize(), d64.WireSize())
 	}

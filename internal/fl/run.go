@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"feddrl/internal/dataset"
@@ -36,8 +35,7 @@ type RunConfig struct {
 	// shared and saturated (an experiment grid occupying every lane),
 	// these nested loops enqueue on the pool's deques and are stolen by
 	// lanes as they free up, instead of degrading to serial execution.
-	// 0 means GOMAXPROCS when Parallel is set and sequential otherwise;
-	// 1 forces sequential. Results are bit-identical across every
+	// 0 and 1 mean sequential. Results are bit-identical across every
 	// Workers value because each client owns its RNG and the engine
 	// reduces in deterministic order.
 	Workers int
@@ -48,11 +46,6 @@ type RunConfig struct {
 	// Workers and the caller owns its lifecycle; when nil, Run creates
 	// and closes a pool of Workers lanes itself.
 	Pool *engine.Pool
-	// Parallel trains the selected clients in goroutines.
-	//
-	// Deprecated: Parallel is kept working as shorthand for
-	// Workers=GOMAXPROCS; prefer setting Workers explicitly.
-	Parallel bool
 	// EvalEvery sets the test-evaluation cadence in rounds (default 1).
 	EvalEvery int
 	// Selector chooses the participating clients each round; nil means
@@ -110,37 +103,30 @@ type QuarantineConfig struct {
 	MaxNorm float64
 }
 
-// reject reports whether the gate drops u.
+// reject reports whether the gate drops u, screening whichever width
+// it carries.
 func (q QuarantineConfig) reject(u *Update) bool {
-	if !q.DisableFiniteCheck {
-		if u.Weights32 != nil {
-			if !AllFinite32(u.Weights32) {
-				return true
-			}
-		} else if !AllFinite(u.Weights) {
-			return true
-		}
+	if u.Weights32 != nil {
+		return rejectVec(q, u.Weights32)
 	}
-	if q.MaxNorm > 0 && updateNorm(u) > q.MaxNorm {
-		return true
-	}
-	return false
+	return rejectVec(q, u.Weights)
 }
 
-// updateNorm is the L2 norm of whichever width the update carries,
-// folded sequentially in f64.
-func updateNorm(u *Update) float64 {
-	var s float64
-	if u.Weights32 != nil {
-		for _, v := range u.Weights32 {
-			s += float64(v) * float64(v)
-		}
-	} else {
-		for _, v := range u.Weights {
-			s += v * v
-		}
+// rejectVec applies the finite and norm screens to one upload; the L2
+// norm is folded sequentially in f64 at either width.
+func rejectVec[E tensor.Elem](q QuarantineConfig, w []E) bool {
+	if !q.DisableFiniteCheck && !AllFinite(w) {
+		return true
 	}
-	return math.Sqrt(s)
+	if q.MaxNorm <= 0 {
+		return false
+	}
+	var s float64
+	for _, v := range w {
+		x := float64(v)
+		s += x * x
+	}
+	return math.Sqrt(s) > q.MaxNorm
 }
 
 // quarantineInto screens a cohort: survivors are appended to kept
@@ -176,21 +162,6 @@ func (c RunConfig) Validate() {
 		panic("fl: negative Workers")
 	}
 	c.Precision.Validate()
-}
-
-// effectiveWorkers resolves the engine width from Pool, Workers and the
-// deprecated Parallel flag.
-func (c RunConfig) effectiveWorkers() int {
-	if c.Pool != nil {
-		return c.Pool.Workers()
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	if c.Parallel {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
 }
 
 // RoundMetrics captures one communication round's measurements.
@@ -284,12 +255,12 @@ func (r *Result) MeanAggTime() time.Duration {
 }
 
 // enginePool resolves the run's execution pool: the caller-supplied
-// cfg.Pool when set, a freshly created pool of effectiveWorkers lanes
-// when parallelism was requested, or nil for sequential runs. When a
-// pool is in play the large tensor kernels fan out on the SAME pool as
-// client training and evaluation (tensor.SetParallel), so kernel
-// parallelism is work-stealing-scheduled with the rest of the round
-// loop instead of spawning raw goroutines that oversubscribe the lanes.
+// cfg.Pool when set, a freshly created pool of Workers lanes when
+// Workers > 1, or nil for sequential runs. When a pool is in play the
+// large tensor kernels fan out on the SAME pool as client training and
+// evaluation (tensor.SetParallel), so kernel parallelism is
+// work-stealing-scheduled with the rest of the round loop instead of
+// spawning raw goroutines that oversubscribe the lanes.
 // Results are bit-identical with any pool or none, so the
 // process-global hook is safe even when concurrent grid cells swap it.
 //
@@ -299,8 +270,8 @@ func (r *Result) MeanAggTime() time.Duration {
 // the kernels regardless) — and closes the pool. A caller-supplied pool
 // is left untouched; its owner manages its lifecycle.
 func (c RunConfig) enginePool() (pool *engine.Pool, release func()) {
-	if c.Pool == nil && c.effectiveWorkers() > 1 {
-		p := engine.New(c.effectiveWorkers())
+	if c.Pool == nil && c.Workers > 1 {
+		p := engine.New(c.Workers)
 		tensor.SetParallel(p)
 		return p, func() {
 			tensor.ClearParallel(p)
@@ -338,12 +309,12 @@ type eagerClients struct {
 	losses  []float64
 }
 
-func (e *eagerClients) NumClients() int            { return len(e.clients) }
-func (e *eagerClients) SampleCount(i int) int      { return e.clients[i].Data.Len() }
-func (e *eagerClients) LastLoss(i int) float64     { return e.losses[i] }
+func (e *eagerClients) NumClients() int              { return len(e.clients) }
+func (e *eagerClients) SampleCount(i int) int        { return e.clients[i].Data.Len() }
+func (e *eagerClients) LastLoss(i int) float64       { return e.losses[i] }
 func (e *eagerClients) checkout(slot, i int) *Client { return e.clients[i] }
 func (e *eagerClients) checkin(slot int, c *Client)  {}
-func (e *eagerClients) noteLoss(i int, v float64)  { e.losses[i] = v }
+func (e *eagerClients) noteLoss(i int, v float64)    { e.losses[i] = v }
 
 // Run executes Algorithm 2: for every round, broadcast the global
 // weights to K selected clients, train locally (optionally in parallel),

@@ -76,13 +76,6 @@ func Add32(x, y []float32) {
 	addTailG(x, y, i)
 }
 
-// Fill32 sets every element of x to v.
-func Fill32(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // ReLUForward32 computes out[i] = x[i] if x[i] > 0 else 0, keeping NaN
 // inputs (scalar branch semantics: zero only when v <= 0). Like the
 // float64 activations, both amd64 tiers run the 8-wide YMM body —

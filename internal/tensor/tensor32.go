@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor32 is the float32 storage arm of the numeric substrate: a
 // dense, row-major float32 tensor mirroring Tensor's surface (shape
@@ -274,15 +271,4 @@ func QuantizeLattice(v []float64) {
 	for i, x := range v {
 		v[i] = float64(float32(x))
 	}
-}
-
-// AllFinite32 reports whether every element is finite (no NaN or ±Inf).
-func AllFinite32(v []float32) bool {
-	for _, x := range v {
-		f := float64(x)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
-		}
-	}
-	return true
 }

@@ -28,20 +28,20 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/engine/... ./internal/fl/...
-go test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./internal/experiments/
+gate ./internal/experiments/ 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' -race
 
 # Work-stealing scheduler gate: the engine package under -race with the
 # nested determinism matrix (saturated For/ForWorker at worker counts
 # 1/2/4/8 bit-identical to sequential) asserted explicitly in short
 # mode, plus the steal-proof and sibling-grid stress tests.
-go test -race -short -run 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace' ./internal/engine/
+gate ./internal/engine/ 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalence|TestStealIntoSaturatedNestedFor|TestStealWakeForLateNestedJob|TestConcurrentSiblingGridsRace' -race -short
 
 # Key-codec fuzz seeds in short mode (the corpus only; `make fuzz` runs
 # the fuzzing engine proper). The corpus covers both the legacy 7-field
 # keys and the long-form 10-field Byzantine keys (attack, fraction,
 # merge rule), including the malformed 8/9-field and non-canonical
 # all-zero long-form shapes.
-go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/experiments/
+gate ./internal/experiments/ 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' -short
 
 # Virtual-client gates: the lazy ClientPool path must be bit-identical
 # to the eager fleet for every aggregator at worker counts 1/2/4/8
@@ -50,7 +50,7 @@ go test -short -run 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' ./internal/e
 # O(K). The flat-peak-memory record itself (1e6 vs 100 clients within
 # 2x) is asserted by TestEngineBenchJSON in the full `go test ./...`
 # above and emitted into BENCH_engine.json by `make bench-smoke`.
-go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateSelection|TestClientPoolSkipsEmptyShards|TestRunVirtualMillionClients|TestSingleSetHonorsWorkers|TestEvaluatorWarmEvalAllocFree' ./internal/fl/
+gate ./internal/fl/ 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateSelection|TestClientPoolSkipsEmptyShards|TestRunVirtualMillionClients|TestSingleSetHonorsWorkers|TestEvaluatorWarmEvalAllocFree' -race
 
 # Async round-engine determinism gate under -race: a degenerate trace
 # (zero latency, no drops, staleness weight 1) must reproduce RunVirtual
@@ -59,21 +59,24 @@ go test -race -run 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateS
 # counts, partial rounds must stay deterministic, and a client whose
 # update straddles server versions must resume its per-identity RNG
 # stream exactly.
-go test -race -run 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError' ./internal/fl/
+gate ./internal/fl/ 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError' -race
 
 # Byzantine attack-determinism gate under -race: a seeded sign-flip
 # cohort must replay bitwise across worker counts 1/2/4/8 and across the
 # eager/virtual/degenerate-async engines (plus the f32 twin and the
 # straggler-trace composition), the zero-value attack/merger/quarantine
 # configuration must reproduce the benign run byte for byte, every
-# robust merger must be pool-width-invariant, and a NaN-uploading fleet
-# must finish with quarantine counts instead of a poisoned global model.
-go test -race -run 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestQuarantineNaNRunCompletes' ./internal/fl/
+# robust merger must be pool-width-invariant and keep its pinned
+# outputs on NaN-payload/±0/±Inf cohorts, every merge entry must panic
+# on a wrong-width, mixed or weightless cohort, and a NaN-uploading
+# fleet must finish with quarantine counts instead of a poisoned global
+# model.
+gate ./internal/fl/ 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestRobustMergersSpecialValues|TestWrongWidthCohortsPanic|TestQuarantineNaNRunCompletes' -race
 
 # Benign byte-identity across the merge-seam refactor: figure6 rendered
 # cold, warm (0 cache misses) and with the explicit weighted merge rule
 # must be byte-for-byte the zero-value output.
-go test -run 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid' ./internal/experiments/
+gate ./internal/experiments/ 'TestBenignOutputsUnchangedByRefactor|TestByzantineGrid'
 
 # Compute-kernel gates: the blocked/register-tiled GEMM kernels (every
 # backend in the host's fallback chain — avx512/avx/neon and pure-Go —
@@ -118,7 +121,7 @@ unset TENSOR_BACKEND
 # pool-width-invariant, and the global model must stay on the float32
 # lattice. The -precision CLI surface rides the cmd test suites in the
 # full `go test ./...` above.
-go test -race -run 'TestF32EagerVirtualBitIdentical|TestF32AsyncDegenerateMatchesVirtual|TestF32BitIdenticalAcrossBackends|TestF32GlobalStaysOnLattice|TestAggregate32PoolInvariance' ./internal/fl/
+gate ./internal/fl/ 'TestF32EagerVirtualBitIdentical|TestF32AsyncDegenerateMatchesVirtual|TestF32BitIdenticalAcrossBackends|TestF32GlobalStaysOnLattice|TestAggregateF32PoolInvariance' -race
 
 # Shard-merge round trip: running Table 3 as two shards and merging the
 # artifact files must reproduce the unsharded output byte for byte
