@@ -19,6 +19,10 @@ import (
 	"feddrl"
 )
 
+// clusterGroups is the number of label groups the clustered partitions
+// (CE, CN) split the classes into; each group needs a client.
+const clusterGroups = 3
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -50,6 +54,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
+	}
+
+	// Out-of-range sizes would otherwise panic deep inside the run, so
+	// they are rejected before anything is built.
+	clustered := *partName == "CE" || *partName == "CN"
+	for _, c := range []struct {
+		bad bool
+		msg string
+	}{
+		{*clients < 1, fmt.Sprintf("-clients must be at least 1, got %d", *clients)},
+		{*k < 1, fmt.Sprintf("-k must be at least 1, got %d", *k)},
+		{*rounds < 1, fmt.Sprintf("-rounds must be at least 1, got %d", *rounds)},
+		{*epochs < 1, fmt.Sprintf("-epochs must be at least 1, got %d", *epochs)},
+		{!(*lr > 0), fmt.Sprintf("-lr must be positive, got %v", *lr)},
+		{clustered && *clients < clusterGroups, fmt.Sprintf("-partition %s needs at least %d clients, got %d", *partName, clusterGroups, *clients)},
+		{clustered && !(*delta > 0 && *delta < 1), fmt.Sprintf("-delta must be in (0, 1), got %v", *delta)},
+	} {
+		if c.bad {
+			fmt.Fprintln(stderr, c.msg)
+			return 2
+		}
 	}
 
 	prec, err := feddrl.ParsePrecision(*precName)
@@ -88,9 +113,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "PA":
 		assign = feddrl.Pareto(train, *clients, lpc, 1.5, r)
 	case "CE":
-		assign = feddrl.ClusteredEqual(train, *clients, *delta, lpc, 3, r)
+		assign = feddrl.ClusteredEqual(train, *clients, *delta, lpc, clusterGroups, r)
 	case "CN":
-		assign = feddrl.ClusteredNonEqual(train, *clients, *delta, lpc, 3, 1.0, r)
+		assign = feddrl.ClusteredNonEqual(train, *clients, *delta, lpc, clusterGroups, 1.0, r)
 	case "Equal":
 		assign = feddrl.EqualShards(train, *clients, 2, r)
 	case "Non-equal":
@@ -128,15 +153,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Merger:    merger,
 	}
 
-	var res *feddrl.Result
+	var agg feddrl.Aggregator
 	switch *method {
-	case "SingleSet":
-		res = feddrl.SingleSet(cfg, train, test)
+	case "SingleSet": // centralized: no aggregator, no clients
 	case "FedAvg":
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.FedAvg{})
+		agg = feddrl.FedAvg{}
 	case "FedProx":
 		cfg.Local.ProxMu = 0.01
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.FedProx{})
+		agg = feddrl.FedProx{}
 	case "FedDRL":
 		drlCfg := feddrl.DefaultAgentConfig(kk)
 		drlCfg.Hidden = 64
@@ -146,10 +170,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drlCfg.ExploreStd = *exploreStd
 		drlCfg.ExploreDecay = *exploreDecay
 		drlCfg.Seed = *seed + 4
-		res = feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, *seed+3), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
+		agg = feddrl.NewFedDRL(feddrl.NewAgent(drlCfg))
 	default:
 		fmt.Fprintf(stderr, "unknown method %q\n", *method)
 		return 2
+	}
+	var res *feddrl.Result
+	if agg == nil {
+		res = feddrl.SingleSet(cfg, train, test)
+	} else {
+		pool := feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, *seed+3)
+		res = feddrl.RunVirtual(cfg, pool, test, agg)
 	}
 
 	fmt.Fprintf(stdout, "%s on %s/%s, N=%d K=%d rounds=%d\n", res.Method, spec.Name, *partName, *clients, kk, *rounds)

@@ -83,3 +83,30 @@ func TestFedsimBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestFedsimRejectsInvalidValues: out-of-range sizes and rates exit 2
+// with one line on stderr instead of panicking inside the run.
+func TestFedsimRejectsInvalidValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "0"},
+		{"-k", "-1"},
+		{"-rounds", "0"},
+		{"-clients", "0"},
+		{"-epochs", "0"},
+		{"-lr", "0"},
+		{"-clients", "2", "-partition", "CE"},
+		{"-clients", "2", "-partition", "CN"},
+		{"-delta", "1"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("run(%v) exited %d, want 2", args, code)
+		}
+		if msg := errOut.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "-") {
+			t.Fatalf("run(%v) stderr %q, want one line naming the flag", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("run(%v) wrote to stdout: %q", args, out.String())
+		}
+	}
+}

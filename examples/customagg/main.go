@@ -54,19 +54,21 @@ func main() {
 		Factory: factory,
 		Seed:    13,
 	}
-	clients := func() []*feddrl.Client {
-		return feddrl.BuildClients(train, assign.ClientIndices, factory, 13)
+	// A pool carries its clients' RNG positions, so each run gets a
+	// fresh one.
+	clients := func() *feddrl.ClientPool {
+		return feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 13)
 	}
 
-	avg := feddrl.Run(cfg, clients(), test, feddrl.FedAvg{})
-	inv := feddrl.Run(cfg, clients(), test, invLoss{temp: 0.5})
+	avg := feddrl.RunVirtual(cfg, clients(), test, feddrl.FedAvg{})
+	inv := feddrl.RunVirtual(cfg, clients(), test, invLoss{temp: 0.5})
 
 	drlCfg := feddrl.DefaultAgentConfig(k)
 	drlCfg.Hidden = 64
 	drlCfg.BatchSize = 32
 	drlCfg.WarmupExperiences = 4
 	drlCfg.UpdatesPerRound = 4
-	drl := feddrl.Run(cfg, clients(), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
+	drl := feddrl.RunVirtual(cfg, clients(), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
 
 	fmt.Println("method   best acc   loss-variance (fairness, tail)")
 	for _, r := range []*feddrl.Result{avg, inv, drl} {

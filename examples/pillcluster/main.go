@@ -57,14 +57,14 @@ func main() {
 		Seed:    11,
 	}
 
-	avg := feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 11), test, feddrl.FedAvg{})
+	avg := feddrl.RunVirtual(cfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 11), test, feddrl.FedAvg{})
 
 	drlCfg := feddrl.DefaultAgentConfig(k)
 	drlCfg.Hidden = 64
 	drlCfg.BatchSize = 32
 	drlCfg.WarmupExperiences = 4
 	drlCfg.UpdatesPerRound = 4
-	drl := feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 11), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
+	drl := feddrl.RunVirtual(cfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 11), test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
 
 	fmt.Printf("global accuracy: FedAvg %.2f%%  FedDRL %.2f%%\n", avg.Best(), drl.Best())
 

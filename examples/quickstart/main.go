@@ -48,7 +48,7 @@ func run(out io.Writer, dataScale float64, rounds, epochs int) error {
 	}
 
 	// 4. Baseline: FedAvg (impact factors proportional to sample counts).
-	avg := feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 7), test, feddrl.FedAvg{})
+	avg := feddrl.RunVirtual(cfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 7), test, feddrl.FedAvg{})
 
 	// 5. FedDRL: a DDPG agent decides the impact factors each round.
 	drlCfg := feddrl.DefaultAgentConfig(k)
@@ -57,7 +57,7 @@ func run(out io.Writer, dataScale float64, rounds, epochs int) error {
 	drlCfg.WarmupExperiences = 4
 	drlCfg.UpdatesPerRound = 4
 	agent := feddrl.NewAgent(drlCfg)
-	drl := feddrl.Run(cfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 7), test, feddrl.NewFedDRL(agent))
+	drl := feddrl.RunVirtual(cfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 7), test, feddrl.NewFedDRL(agent))
 
 	// 6. Compare.
 	fmt.Fprintln(out, "round   FedAvg   FedDRL")

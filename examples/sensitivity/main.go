@@ -18,16 +18,16 @@ func run(train, test *feddrl.Dataset, assign *feddrl.Assignment, k int, drlAgent
 		Factory: factory,
 		Seed:    seed,
 	}
-	clients := feddrl.BuildClients(train, assign.ClientIndices, factory, seed)
+	clients := feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, seed)
 	if !drlAgent {
-		return feddrl.Run(cfg, clients, test, feddrl.FedAvg{})
+		return feddrl.RunVirtual(cfg, clients, test, feddrl.FedAvg{})
 	}
 	drlCfg := feddrl.DefaultAgentConfig(k)
 	drlCfg.Hidden = 32
 	drlCfg.BatchSize = 16
 	drlCfg.WarmupExperiences = 3
 	drlCfg.UpdatesPerRound = 2
-	return feddrl.Run(cfg, clients, test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
+	return feddrl.RunVirtual(cfg, clients, test, feddrl.NewFedDRL(feddrl.NewAgent(drlCfg)))
 }
 
 func main() {

@@ -156,8 +156,8 @@ func main() {
 		Factory: factory,
 		Seed:    10,
 	}
-	pre := feddrl.Run(runCfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 10), test, feddrl.NewFedDRL(restored))
-	cold := feddrl.Run(runCfg, feddrl.BuildClients(train, assign.ClientIndices, factory, 10), test, feddrl.NewFedDRL(feddrl.NewAgent(cfg)))
+	pre := feddrl.RunVirtual(runCfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 10), test, feddrl.NewFedDRL(restored))
+	cold := feddrl.RunVirtual(runCfg, feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, 10), test, feddrl.NewFedDRL(feddrl.NewAgent(cfg)))
 
 	fmt.Println("deployment on a fresh federation:")
 	fmt.Printf("  pre-trained agent: best %.2f%%, early mean %.2f%%\n",

@@ -39,7 +39,7 @@ func TestSelectorsWithFedDRL(t *testing.T) {
 			Seed:     5,
 			Selector: sel,
 		}
-		res := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 5), test, FedAvg{})
+		res := RunVirtual(cfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 5), test, FedAvg{})
 		if len(res.Rounds) != 3 {
 			t.Fatalf("selector %s: run incomplete", sel.Name())
 		}
@@ -92,7 +92,7 @@ func TestAgentCheckpointPublic(t *testing.T) {
 		Factory: factory,
 		Seed:    8,
 	}
-	res := Run(runCfg, BuildClients(train, assign.ClientIndices, factory, 8), test, NewFedDRL(restored))
+	res := RunVirtual(runCfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 8), test, NewFedDRL(restored))
 	if len(res.Accuracy) == 0 {
 		t.Fatal("restored agent run produced no evaluations")
 	}

@@ -10,16 +10,15 @@
 //   - datasets: Synthesize + the MNISTSim/FashionSim/CIFAR100Sim specs
 //   - non-IID partitioners: Pareto (PA), ClusteredEqual (CE, the paper's
 //     cluster skew), ClusteredNonEqual (CN), EqualShards, NonEqualShards
-//   - the FL loop: NewClient/BuildClients, Run, SingleSet — and the
-//     constant-memory virtual-client path NewClientPool/RunVirtual, where
-//     clients are (seed, index-recipe) identities over zero-copy
-//     DataView shards, materialized only while selected (bit-identical
-//     to the eager path)
-//   - asynchronous rounds: RunAsync, a deterministic event-driven round
-//     engine over the same ClientPool — seeded virtual clock, pluggable
+//   - the FL loop: NewClientPool + RunVirtual, SingleSet — clients are
+//     (seed, index-recipe) identities over zero-copy DataView shards,
+//     materialized only while selected, so memory stays O(K); NewClient
+//     and BuildClients build standalone clients for hand-driven loops
+//   - asynchronous rounds: RunAsync, the deterministic event-driven
+//     round engine RunVirtual runs on — seeded virtual clock, pluggable
 //     ArrivalModel traces (stragglers, dropout, availability) and
-//     staleness-weighted merging; its degenerate trace reproduces
-//     RunVirtual bit for bit
+//     staleness-weighted merging; RunVirtual is its instant-arrival
+//     case
 //   - the execution engine: NewWorkerPool + RunConfig.Workers, a bounded
 //     work-stealing pool whose parallel results are bit-identical to
 //     sequential and whose nested loops stay parallel under saturation
@@ -34,7 +33,8 @@
 //     TrimmedMean, Krum) replacing the weighted merge, and a
 //     server-side QuarantineConfig gate screening non-finite or
 //     norm-exploded uploads — all deterministic across worker counts
-//     and engines, with the zero values bit-identical to a benign run
+//     and arrival traces, with the zero values bit-identical to a
+//     benign run
 //   - the DRL agent: NewAgent, DefaultAgentConfig, TrainTwoStage
 //   - experiment harness: ExperimentNames, RunExperiment and the
 //     CIScale/MediumScale/PaperScale presets
@@ -130,9 +130,8 @@ type (
 // malicious fraction of the fleet; a Merger set on RunConfig.Merger
 // replaces the default impact-factor weighted merge; QuarantineConfig
 // screens arriving uploads at the server ingress. All three compose
-// with every engine (Run, RunVirtual, RunAsync) and stay bit-identical
-// across worker counts; their zero values reproduce a benign run bit
-// for bit.
+// with RunVirtual and RunAsync and stay bit-identical across worker
+// counts; their zero values reproduce a benign run bit for bit.
 type (
 	// AttackModel is the pluggable Byzantine fault model: a seeded,
 	// identity-stable malicious subset whose uploads are corrupted
@@ -212,7 +211,7 @@ var ParsePrecision = fl.ParsePrecision
 type (
 	// AsyncConfig configures RunAsync: RunConfig plus the arrival trace
 	// and the server's staleness policy (zero async fields = the
-	// degenerate setting, bit-identical to RunVirtual).
+	// instant-arrival setting RunVirtual runs).
 	AsyncConfig = fl.AsyncConfig
 	// AsyncResult is an async run's record: Result plus per-aggregation
 	// async metrics (virtual time, staleness, drops).
@@ -293,18 +292,17 @@ var (
 	NewClient = fl.NewClient
 	// BuildClients shards a dataset by an assignment.
 	BuildClients = fl.BuildClients
-	// Run executes Algorithm 2 with the given aggregator.
-	Run = fl.Run
 	// NewClientPool builds the constant-memory virtual-client pool.
 	NewClientPool = fl.NewClientPool
-	// RunVirtual is Run over a ClientPool: clients materialize only
-	// while selected, bit-identical to the eager path.
+	// RunVirtual executes Algorithm 2 over a ClientPool with the given
+	// aggregator; clients materialize only while selected.
 	RunVirtual = fl.RunVirtual
-	// RunAsync is the deterministic asynchronous round engine over a
-	// ClientPool: event-queue arrivals on a seeded virtual clock with
-	// staleness-weighted merging. It returns a *StarvationError (with
-	// the partial result) when the arrival model drops every dispatch
-	// and a round can never complete.
+	// RunAsync is the deterministic round engine over a ClientPool:
+	// event-queue arrivals on a seeded virtual clock with
+	// staleness-weighted merging; RunVirtual is its instant-arrival
+	// case. It returns a *StarvationError (with the partial result)
+	// when the arrival model drops every dispatch and a round can never
+	// complete.
 	RunAsync = fl.RunAsync
 	// SingleSet trains centrally on the combined data (the §4.1 baseline).
 	SingleSet = fl.SingleSet
@@ -343,8 +341,8 @@ var (
 
 // Compute kernels and scratch arenas: the blocked, register-tiled GEMM
 // kernels under every Forward/Backward, and the per-network buffer
-// arenas that make warm train steps allocation-free. fl.Run wires both
-// automatically; these re-exports serve custom training loops.
+// arenas that make warm train steps allocation-free. RunVirtual wires
+// both automatically; these re-exports serve custom training loops.
 type (
 	// ModelScratch is a per-network arena of reusable activation and
 	// gradient buffers (see Network.ForwardScratch/BackwardScratch).
@@ -358,7 +356,7 @@ var (
 	// NewModelScratch builds an empty per-network scratch arena.
 	NewModelScratch = nn.NewScratch
 	// SetKernelPool installs the pool that large tensor kernels fan out
-	// on (nil reverts to sequential); fl.Run calls it automatically.
+	// on (nil reverts to sequential); RunVirtual calls it automatically.
 	SetKernelPool = tensor.SetParallel
 	// KernelBackend reports the active SIMD kernel backend ("avx512",
 	// "avx", "neon" or "generic"); the TENSOR_BACKEND environment

@@ -25,7 +25,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		Seed:    7,
 	}
 
-	avg := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 7), test, FedAvg{})
+	avg := RunVirtual(cfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 7), test, FedAvg{})
 	if avg.Best() <= 0 {
 		t.Fatal("FedAvg run produced no accuracy")
 	}
@@ -35,7 +35,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	drlCfg.BatchSize = 8
 	drlCfg.WarmupExperiences = 2
 	drlCfg.UpdatesPerRound = 1
-	drl := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 7), test, NewFedDRL(NewAgent(drlCfg)))
+	drl := RunVirtual(cfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 7), test, NewFedDRL(NewAgent(drlCfg)))
 	if drl.Method != "FedDRL" || drl.Best() <= 0 {
 		t.Fatalf("FedDRL run broken: %q best %v", drl.Method, drl.Best())
 	}
@@ -67,13 +67,13 @@ func TestFedDRLBeatsFedAvgOnClusterSkew(t *testing.T) {
 		Factory: factory,
 		Seed:    3,
 	}
-	avg := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 3), test, FedAvg{})
+	avg := RunVirtual(cfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 3), test, FedAvg{})
 	drlCfg := DefaultAgentConfig(k)
 	drlCfg.Hidden = 32
 	drlCfg.BatchSize = 16
 	drlCfg.WarmupExperiences = 4
 	drlCfg.UpdatesPerRound = 2
-	drl := Run(cfg, BuildClients(train, assign.ClientIndices, factory, 3), test, NewFedDRL(NewAgent(drlCfg)))
+	drl := RunVirtual(cfg, NewClientPool(train, IndexPartition(assign.ClientIndices), factory, 3), test, NewFedDRL(NewAgent(drlCfg)))
 
 	// FedDRL must stay within noise of FedAvg or beat it; a collapse
 	// would indicate the agent harms aggregation.

@@ -26,14 +26,14 @@ func AblationPrior(s Scale, seed uint64) string {
 	runWith := func(prior bool) *fl.Result {
 		agg := fl.NewFedDRL(core.NewAgent(s.drlConfig(k, seed+3)))
 		agg.FedAvgPrior = prior
-		clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-		return fl.Run(cfg, clients, test, agg)
+		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
+		return fl.RunVirtual(cfg, clients, test, agg)
 	}
 	withPrior := runWith(true)
 	without := runWith(false)
 	avg := func() *fl.Result {
-		clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-		return fl.Run(cfg, clients, test, fl.FedAvg{})
+		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
+		return fl.RunVirtual(cfg, clients, test, fl.FedAvg{})
 	}()
 	tab := &metrics.Table{
 		Title:   "Ablation: FedAvg-anchored actions vs plain Eq. 5 softmax, cifar100-sim / CE",
@@ -60,8 +60,8 @@ func runFedDRLVariant(s Scale, spec dataset.Spec, seed uint64, modify func(*core
 		agent = core.NewAgent(drlCfg)
 	}
 	cfg := s.runConfig(spec, k, 0, seed+1)
-	clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+4)
-	return fl.Run(cfg, clients, test, fl.NewFedDRL(agent))
+	clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
+	return fl.RunVirtual(cfg, clients, test, fl.NewFedDRL(agent))
 }
 
 // AblationRewardGap compares the full Eq. 7 reward against a variant

@@ -71,8 +71,8 @@ func Figure9(s Scale, seed uint64) string {
 			k = s.SmallN
 		}
 		agent := core.NewAgent(s.drlConfig(k, seed+7))
-		clients := fl.BuildClients(train, assign.ClientIndices, cfg.Factory, seed+8)
-		res := fl.Run(cfg, clients, test, fl.NewFedDRL(agent))
+		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+8)
+		res := fl.RunVirtual(cfg, clients, test, fl.NewFedDRL(agent))
 		tab.AddRow(mc.name,
 			fmt.Sprintf("%d", res.NumParam),
 			fmtDur(res.MeanDecisionTime()),

@@ -141,7 +141,6 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, pool *engine.Pool) *
 	cfg.Merger = mg
 	// Virtual clients: only the K selected identities occupy client
 	// state at a time, so a cell's memory is O(K) in its client count.
-	// Bit-identical to the eager fl.Run path with the same seed.
 	cp := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
 	if mode != "" {
 		ar, err := fl.RunAsync(asyncConfigFor(mode, cfg, k, seed), cp, test, agg)

@@ -178,7 +178,7 @@ func Aggregate(updates []Update, alpha []float64) []float64 {
 // The aggregation entry points panic on non-finite uploads because a
 // single poisoned coordinate contaminates the whole merged model, and a
 // caller reaching Aggregate with one has skipped the screening it owns
-// — library misuse. The run loops never trip that panic: their ingress
+// — library misuse. The round loop never trips that panic: its ingress
 // gate (QuarantineConfig) treats a non-finite upload as a runtime fault
 // from a diverging or malicious client, drops it from the cohort, and
 // counts it in RoundMetrics.Quarantined.

@@ -85,9 +85,9 @@ type ArrivalModel interface {
 }
 
 // InstantArrivals is the degenerate trace: every update arrives with
-// zero latency and nothing is dropped. Under it (with StalenessDecay 1)
-// RunAsync reproduces RunVirtual bit for bit — the async engine's
-// equivalent of the engine package's sequential-fallback contract.
+// zero latency and nothing is dropped. Under it (with StalenessDecay 1
+// and AggregateEvery K) every round folds exactly the cohort it
+// dispatched: RunVirtual, the synchronous loop.
 type InstantArrivals struct{}
 
 // Name identifies the degenerate trace.
@@ -160,8 +160,8 @@ func (t TraceArrivals) Draw(round, id int, r *rng.RNG) Arrival {
 
 // AsyncConfig configures an asynchronous run: the synchronous
 // RunConfig plus the arrival trace and the server's staleness policy.
-// The zero values of the async fields select the degenerate setting
-// under which RunAsync is bit-identical to RunVirtual.
+// The zero values of the async fields select the instant-arrival
+// setting that RunVirtual runs.
 type AsyncConfig struct {
 	RunConfig
 
@@ -257,9 +257,9 @@ type inFlight struct {
 
 // arrivalHeap is a hand-rolled binary min-heap of in-flight updates
 // ordered by (arrival time, dispatch sequence). The sequence tie-break
-// makes simultaneous arrivals — the whole degenerate trace — pop in
-// dispatch order, which is what aligns the async engine with the
-// synchronous loop's update ordering.
+// makes simultaneous arrivals — every arrival under InstantArrivals —
+// pop in dispatch order, so a synchronous round folds its cohort in
+// selection order.
 type arrivalHeap []inFlight
 
 func (h arrivalHeap) before(i, j int) bool {
@@ -347,37 +347,35 @@ func staleWeights(alpha []float64, buf []inFlight, round int, decay float64) []f
 	return out
 }
 
-// RunAsync executes the asynchronous variant of Algorithm 2 over a
-// ClientPool: a seeded virtual clock and an event queue order client
-// update arrivals, the server aggregates whenever AggregateEvery updates
-// have arrived (or the queue runs dry — a partial round), and stale
-// updates are merged with staleness-decayed impact factors.
+// RunAsync executes Algorithm 2 over a ClientPool — the one round loop
+// every federated run goes through. A seeded virtual clock and an event
+// queue order client update arrivals, the server aggregates whenever
+// AggregateEvery updates have arrived (or the queue runs dry — a partial
+// round), and stale updates are merged with staleness-decayed impact
+// factors. RunVirtual is its instant-arrival case: the zero-value async
+// fields deliver every update at once, so each round folds exactly the
+// synchronous cohort.
 //
 // Mechanics per server round r:
 //
 //  1. Dispatch: the Selector picks K clients against the current global
-//     model; their local training runs in parallel on the same
-//     work-stealing pool as the synchronous loop (trainCohort). Each
-//     finished update is assigned an arrival time now+Delay drawn from
-//     the ArrivalModel, or dropped.
+//     model; their local training runs in parallel on the run's
+//     work-stealing pool (trainCohort). Each finished update is assigned
+//     an arrival time now+Delay drawn from the ArrivalModel, or dropped.
 //  2. Drain: the event queue pops arrivals in (time, dispatch-sequence)
 //     order, advancing the virtual clock, until the aggregation
 //     threshold is reached or the queue empties.
-//  3. Merge: the aggregator computes impact factors over exactly the
-//     arrived updates (which may span server versions), staleness decay
-//     reweights them, and AggregateOn folds the new global model.
+//  3. Merge: the ingress quarantine screens the arrived updates, the
+//     aggregator computes impact factors over the survivors (which may
+//     span server versions), staleness decay reweights them, and the
+//     Merger folds the new global model.
 //
 // Clients whose updates are still in flight when the server version
 // advances simply arrive stale; because every client's RNG position is
 // snapshotted in the ClientPool at checkin, an identity re-selected for
 // a later version resumes its stream exactly where it left off — local
-// work straddling server versions costs no determinism.
-//
-// The determinism contract matches the synchronous engines: results are
-// bit-identical across Workers and across substrates for the same
-// configuration, and the degenerate configuration (InstantArrivals,
-// StalenessDecay 1, AggregateEvery K) reproduces RunVirtual exactly,
-// including every weight bit and RNG stream.
+// work straddling server versions costs no determinism. Results are
+// bit-identical across Workers for the same configuration.
 //
 // The returned error is non-nil only when the arrival model starves the
 // engine (*StarvationError): every dispatch of maxRedispatchAttempts
@@ -403,14 +401,9 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	if decay == 0 {
 		decay = 1
 	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
-	pop := population(clients)
 	k := cfg.K
-	if k > pop.NumClients() {
-		k = pop.NumClients()
+	if k > clients.NumClients() {
+		k = clients.NumClients()
 	}
 	threshold := cfg.AggregateEvery
 	if threshold == 0 {
@@ -421,17 +414,16 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	serverModel := cfg.Factory(cfg.Seed)
 	global := serverModel.ParamVector()
 	if cfg.Precision == F32 {
-		// Same f32-mode invariant as runLoop: the global vector stays on
-		// the float32 lattice across every aggregation step.
+		// f32 mode's standing invariant: the float64-carried global
+		// vector is exactly float32-representable, so every broadcast and
+		// every client-side quantization of it is lossless.
 		tensor.QuantizeLattice(global)
 	}
 
 	pool, release := cfg.enginePool()
 	defer release()
-	var ev *Evaluator
-	if test != nil {
-		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
-	}
+	res := &AsyncResult{Result: &Result{Method: agg.Name(), NumParam: len(global)}}
+	rec := cfg.newRecorder(res.Result, test, pool)
 	sel := cfg.Selector
 	if sel == nil {
 		sel = UniformSelector{}
@@ -439,14 +431,12 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 
 	atk := newAttackRuntime(cfg.Attack, cfg.AttackSeed, cfg.Seed)
 
-	res := &AsyncResult{Result: &Result{Method: agg.Name(), NumParam: len(global)}}
 	updates := make([]Update, k)
 	slots := make([]*Client, k)
 	seen := make(map[int]struct{}, k)
 	var q arrivalHeap
 	buffer := make([]inFlight, 0, threshold)
-	bufUpdates := make([]Update, 0, threshold)
-	keptFlight := make([]inFlight, 0, threshold)
+	kept := make([]inFlight, 0, threshold)
 	keptUpdates := make([]Update, 0, threshold)
 	lb := make([]float64, 0, threshold)
 
@@ -463,8 +453,8 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 	// weight vectors (Client.Run returns a new copy per call), so queued
 	// in-flight updates survive their slot being retrained.
 	dispatch := func(attempt int) {
-		selected := sel.Select(round, k, pop, serverRNG)
-		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
+		selected := sel.Select(round, k, clients, serverRNG)
+		trainCohort(clients, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
 		for i := range selected {
 			u := updates[i]
 			dr := rng.New(rng.MixSeed(arrivalSeed, uint64(round), uint64(u.ClientID), uint64(attempt)))
@@ -489,14 +479,13 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 		// Drain arrivals into the aggregation buffer, advancing the
 		// virtual clock to each update's arrival time. Losses are noted
 		// at arrival — the server learns a client's loss when its update
-		// lands, which in the degenerate trace is the synchronous loop's
-		// post-training order exactly.
+		// lands, which under instant arrivals is selection order.
 		for len(buffer) < threshold && len(q) > 0 {
 			e := q.pop()
 			if e.at > now {
 				now = e.at
 			}
-			pop.noteLoss(e.elig, e.u.LossBefore)
+			clients.noteLoss(e.elig, e.u.LossBefore)
 			buffer = append(buffer, e)
 		}
 		if len(buffer) == 0 {
@@ -523,52 +512,41 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 
 		// Aggregate: either the threshold was met, or the queue ran dry
 		// and the server folds a partial round rather than stalling.
-		bufUpdates = bufUpdates[:0]
-		lb = lb[:0]
-		sumAge, maxAge := 0, 0
+		// The ingress gate drops quarantined uploads from the merge
+		// cohort (and from kept, the staleness bookkeeping aligned with
+		// the impact factors); the loss statistics still cover every
+		// arrived update. Quarantining everything carries the global
+		// model over to the next round.
+		lb, kept, keptUpdates = lb[:0], kept[:0], keptUpdates[:0]
+		sumAge, maxAge, quarantined := 0, 0, 0
 		for _, e := range buffer {
-			bufUpdates = append(bufUpdates, e.u)
 			lb = append(lb, e.u.LossBefore)
 			age := round - e.round
 			sumAge += age
 			if age > maxAge {
 				maxAge = age
 			}
-		}
-
-		// Ingress gate, mirroring runLoop: quarantined uploads leave the
-		// merge cohort (and its staleness bookkeeping slice, which must
-		// stay aligned with the impact factors) but still count in the
-		// loss statistics. Quarantining everything carries the global
-		// model over to the next round.
-		mergeBuf, mergeUpdates := buffer, bufUpdates
-		quarantined := 0
-		keptFlight, keptUpdates = keptFlight[:0], keptUpdates[:0]
-		for i := range bufUpdates {
-			if cfg.Quarantine.reject(&bufUpdates[i]) {
+			if cfg.Quarantine.reject(&e.u) {
 				quarantined++
-			} else {
-				keptFlight = append(keptFlight, buffer[i])
-				keptUpdates = append(keptUpdates, bufUpdates[i])
+				continue
 			}
-		}
-		if quarantined > 0 {
-			mergeBuf, mergeUpdates = keptFlight, keptUpdates
+			kept = append(kept, e)
+			keptUpdates = append(keptUpdates, e.u)
 		}
 
 		var decision, aggTime time.Duration
-		if len(mergeUpdates) > 0 {
+		if len(keptUpdates) > 0 {
 			t0 := time.Now()
-			alpha := agg.ImpactFactors(round, mergeUpdates)
+			alpha := agg.ImpactFactors(round, keptUpdates)
 			decision = time.Since(t0)
 
 			t1 := time.Now()
-			alpha = staleWeights(alpha, mergeBuf, round, decay)
-			global = mergeP(cfg.Precision, cfg.Merger, mergeUpdates, alpha, pool)
+			alpha = staleWeights(alpha, kept, round, decay)
+			global = mergeP(cfg.Precision, cfg.Merger, keptUpdates, alpha, pool)
 			aggTime = time.Since(t1)
 		}
 
-		m := RoundMetrics{
+		rec.record(RoundMetrics{
 			Round:          round,
 			ClientLossMean: mathx.Mean(lb),
 			ClientLossVar:  mathx.Variance(lb),
@@ -577,16 +555,7 @@ func RunAsync(cfg AsyncConfig, clients *ClientPool, test *dataset.Dataset, agg A
 			Quarantined:    quarantined,
 			DecisionTime:   decision,
 			AggTime:        aggTime,
-		}
-		if test != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			loss, acc := ev.Eval(global, test)
-			m.Evaluated = true
-			m.TestLoss = loss
-			m.TestAcc = acc * 100
-			res.Accuracy = append(res.Accuracy, m.TestAcc)
-			res.AccRounds = append(res.AccRounds, round)
-		}
-		res.Rounds = append(res.Rounds, m)
+		}, global)
 		res.Async = append(res.Async, AsyncRoundMetrics{
 			Round:         round,
 			VirtualTime:   now,

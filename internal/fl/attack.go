@@ -9,12 +9,12 @@ import (
 )
 
 // Byzantine fault injection. An AttackModel is a seeded, replayable
-// input to the round engines, mirroring how the arrival trace models
+// input to the round loop, mirroring how the arrival trace models
 // stragglers and dropout: a deterministic, identity-stable subset of
 // clients is malicious, and their uploads are corrupted by a pure
 // function of (attack seed, round, client id). That keying makes
-// corrupted runs bit-identical across worker counts and across the
-// eager/virtual/async engines — corruption happens inside the training
+// corrupted runs bit-identical across worker counts and arrival traces
+// — corruption happens inside the training
 // fan-out, but each corrupted update depends only on its own
 // coordinates, never on scheduling order.
 //
@@ -43,7 +43,7 @@ const attackCollusionSalt uint64 = 0x1f83d9abfb41bd6b
 type AttackModel interface {
 	Name() string
 	// Fraction is the malicious fraction of client identities; the
-	// engines draw membership per identity from the resolved attack
+	// round loop draws membership per identity from the resolved attack
 	// seed, so the same fraction marks the same clients for every
 	// attack type.
 	Fraction() float64
@@ -58,9 +58,9 @@ type AttackModel interface {
 }
 
 // DataAttack is implemented by attacks that poison a client's local
-// training data instead of (or in addition to) its upload. The engines
-// wrap each malicious client's shard once per cohort, before local
-// training, and unwrap it afterwards.
+// training data instead of (or in addition to) its upload. The round
+// loop wraps each malicious client's shard once per cohort, before local
+// training, and unwraps it afterwards.
 type DataAttack interface {
 	// CorruptData returns the poisoned view of a malicious client's
 	// shard. It must not modify d.
@@ -220,7 +220,7 @@ func (LabelFlip) CorruptData(d dataset.Data) dataset.Data {
 	return dataset.FlipLabels(d)
 }
 
-// attackRuntime is the engines' resolved view of a configured attack:
+// attackRuntime is the round loop's resolved view of a configured attack:
 // the model, its optional data-poisoning face, and the resolved seed.
 // A nil *attackRuntime is the benign path.
 type attackRuntime struct {
@@ -247,7 +247,7 @@ func newAttackRuntime(model AttackModel, attackSeed, runSeed uint64) *attackRunt
 
 // malicious reports whether client identity id is in the attack set: a
 // per-identity trait drawn from the resolved seed, stable across
-// rounds and engines.
+// rounds and arrival traces.
 func (a *attackRuntime) malicious(id int) bool {
 	if a == nil {
 		return false

@@ -9,7 +9,7 @@ import (
 )
 
 // The Byzantine suite: seeded attacks must replay bitwise across worker
-// counts and engines, the zero-value attack path must be byte-identical
+// counts and arrival traces, the zero-value attack path must be byte-identical
 // to a benign run, and the quarantine gate must keep poisoned uploads
 // out of the global model without panicking.
 
@@ -22,55 +22,40 @@ func attackedConfig(cfg RunConfig) RunConfig {
 
 // TestAttackDegenerateByteIdentity: a zero-fraction attack, the explicit
 // WeightedMerge and the zero-value quarantine gate must reproduce the
-// nil/nil/zero configuration byte for byte on both synchronous engines —
-// the compatibility contract that keeps historical outputs (and cached
-// experiment cells) valid.
+// nil/nil/zero configuration byte for byte — the compatibility contract
+// that keeps historical outputs (and cached experiment cells) valid.
 func TestAttackDegenerateByteIdentity(t *testing.T) {
 	const seed = 43
 	baseline := func() *Result {
 		clients, test, cfg := detFederation(t, seed)
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	degenerate := func() *Result {
 		clients, test, cfg := detFederation(t, seed)
 		cfg.Attack = SignFlip{ByzantineSet: ByzantineSet{Frac: 0}}
 		cfg.Merger = WeightedMerge{}
 		cfg.Quarantine = QuarantineConfig{}
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	want, got := baseline(), degenerate()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("degenerate attack configuration differs from the benign run")
 	}
-	virtWant := func() *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-	}()
-	virtGot := func() *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		cfg.Attack = SignFlip{ByzantineSet: ByzantineSet{Frac: 0}}
-		cfg.Merger = WeightedMerge{}
-		return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-	}()
-	if !reflect.DeepEqual(virtWant, virtGot) {
-		t.Fatal("degenerate attack configuration differs from the benign virtual run")
-	}
 }
 
 // TestAttackSeededBitIdenticalAcrossWorkers: a real seeded attack must
-// replay bitwise at every worker count, across the eager and virtual
-// engines, and through the degenerate async trace.
+// replay bitwise at every worker count.
 func TestAttackSeededBitIdenticalAcrossWorkers(t *testing.T) {
 	const seed = 47
-	eagerAt := func(workers int) *Result {
+	runAt := func(workers int) *Result {
 		clients, test, cfg := detFederation(t, seed)
 		cfg = attackedConfig(cfg)
 		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
-	ref := eagerAt(1)
+	ref := runAt(1)
 	for _, workers := range []int{2, 4, 8} {
-		got := eagerAt(workers)
+		got := runAt(workers)
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("Workers=%d: attacked run differs from Workers=1", workers)
 		}
@@ -80,28 +65,10 @@ func TestAttackSeededBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	virt := func() *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		cfg = attackedConfig(cfg)
-		cfg.Workers = 4
-		return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-	}()
-	if !reflect.DeepEqual(ref, virt) {
-		t.Fatal("attacked virtual run differs from the eager run")
-	}
-	async := func() *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		cfg = attackedConfig(cfg)
-		cfg.Workers = 4
-		return stripAsyncTimings(mustAsync(RunAsync(AsyncConfig{RunConfig: cfg}, cp, test, FedAvg{}))).Result
-	}()
-	if !reflect.DeepEqual(ref, async) {
-		t.Fatal("attacked degenerate async run differs from the eager run")
-	}
 	// And the attack must actually bite: the benign run's weights differ.
 	benign := func() *Result {
 		clients, test, cfg := detFederation(t, seed)
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}()
 	if reflect.DeepEqual(ref.Weights, benign.Weights) {
 		t.Fatal("a 40% sign-flip cohort left the final weights untouched")
@@ -114,7 +81,7 @@ func TestAttackSeededBitIdenticalAcrossWorkers(t *testing.T) {
 func TestAttackAsyncTraceReproducible(t *testing.T) {
 	const seed = 53
 	runAt := func(workers int) *AsyncResult {
-		cp, test, cfg := detVirtualFederation(t, seed)
+		cp, test, cfg := detFederation(t, seed)
 		cfg = attackedConfig(cfg)
 		cfg.Workers = workers
 		cfg.Rounds = 5
@@ -137,7 +104,7 @@ func TestAttackF32AcrossWorkers(t *testing.T) {
 		cfg = attackedConfig(cfg)
 		cfg.Precision = F32
 		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	ref := runAt(1)
 	for _, workers := range []int{2, 4} {
@@ -222,22 +189,18 @@ func TestColludingUploadsAgree(t *testing.T) {
 func TestLabelFlipChangesRun(t *testing.T) {
 	const seed = 61
 	benignClients, test, cfg := detFederation(t, seed)
-	benign := stripTimings(Run(cfg, benignClients, test, FedAvg{}))
+	benign := stripTimings(RunVirtual(cfg, benignClients, test, FedAvg{}))
 
 	clients, test2, cfg2 := detFederation(t, seed)
-	shards := make([]dataset.Data, len(clients))
-	for i, c := range clients {
-		shards[i] = c.Data
-	}
 	cfg2.Attack = LabelFlip{ByzantineSet: ByzantineSet{Frac: 0.5}}
 	cfg2.AttackSeed = 5
-	poisoned := stripTimings(Run(cfg2, clients, test2, FedAvg{}))
+	poisoned := stripTimings(RunVirtual(cfg2, clients, test2, FedAvg{}))
 	if reflect.DeepEqual(benign.Weights, poisoned.Weights) {
 		t.Fatal("label flipping half the fleet left the weights untouched")
 	}
-	for i, c := range clients {
-		if c.Data != shards[i] {
-			t.Fatalf("client %d's shard was not restored after the run", i)
+	for i, s := range clients.slots {
+		if _, ok := s.c.Data.(*dataset.View); !ok {
+			t.Fatalf("slot %d still holds a %T after the run, not its view", i, s.c.Data)
 		}
 	}
 }
@@ -253,14 +216,13 @@ func (nanAttack) Corrupt(round, id int, seed uint64, global []float64, u *Update
 
 // TestQuarantineNaNRunCompletes: with poisoned uploads arriving every
 // round, the zero-value quarantine gate must keep the run alive, count
-// the rejections, and keep the global model finite — on the synchronous
-// and the async engine.
+// the rejections, and keep the global model finite.
 func TestQuarantineNaNRunCompletes(t *testing.T) {
 	const seed = 67
 	clients, test, cfg := detFederation(t, seed)
 	cfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
 	cfg.AttackSeed = 5
-	res := Run(cfg, clients, test, FedAvg{})
+	res := RunVirtual(cfg, clients, test, FedAvg{})
 	total := 0
 	for _, m := range res.Rounds {
 		total += m.Quarantined
@@ -270,21 +232,6 @@ func TestQuarantineNaNRunCompletes(t *testing.T) {
 	}
 	if !AllFinite(res.Weights) {
 		t.Fatal("NaN leaked into the global model")
-	}
-
-	cp, test2, vcfg := detVirtualFederation(t, seed)
-	vcfg.Attack = nanAttack{ByzantineSet{Frac: 0.5}}
-	vcfg.AttackSeed = 5
-	ar := mustAsync(RunAsync(AsyncConfig{RunConfig: vcfg}, cp, test2, FedAvg{}))
-	total = 0
-	for _, m := range ar.Rounds {
-		total += m.Quarantined
-	}
-	if total == 0 {
-		t.Fatal("async engine never quarantined the NaN uploads")
-	}
-	if !AllFinite(ar.Weights) {
-		t.Fatal("NaN leaked into the async global model")
 	}
 }
 

@@ -1,24 +1,20 @@
-// Package fl implements the synchronous federated-learning simulator of
-// the paper (§2.1, §3.2, Algorithm 2): clients performing local SGD on
-// their private shards, a server aggregating flat weight vectors through
-// a pluggable Aggregator (FedAvg's Eq. 1, FedProx, or FedDRL's Eq. 4),
+// Package fl implements the federated-learning simulator of the paper
+// (§2.1, §3.2, Algorithm 2): clients performing local SGD on their
+// private shards, a server aggregating flat weight vectors through a
+// pluggable Aggregator (FedAvg's Eq. 1, FedProx, or FedDRL's Eq. 4),
 // the SingleSet centralized baseline, and per-round metrics (top-1 test
 // accuracy, per-client inference-loss statistics, and the server-side
 // timing split of Fig. 9).
 //
-// Clients exist in two forms that produce bit-identical results: eager
-// clients (NewClient/BuildClients + Run), each permanently bound to its
-// shard, and virtual clients (ClientPool + RunVirtual), where a client
-// is only a (seed, index-recipe) identity materialized into one of K
-// reusable slots while selected — the constant-memory path for
-// simulating millions of clients.
-//
-// RunAsync layers a deterministic asynchronous substrate on the virtual
-// path: a seeded virtual clock and arrival event queue replace the
-// synchronous barrier, with pluggable straggler/dropout traces
-// (ArrivalModel) and staleness-decay-weighted merging. A degenerate
-// trace (zero latency, no drops, decay 1) reproduces RunVirtual bit for
-// bit.
+// A federation's clients are a ClientPool: each client is a (seed,
+// index-recipe) identity materialized into one of K reusable slots only
+// while selected, so memory stays O(K) even when simulating millions of
+// clients. RunAsync is the one round loop: a seeded virtual clock and
+// arrival event queue deliver client updates, with pluggable
+// straggler/dropout traces (ArrivalModel) and staleness-decay-weighted
+// merging. RunVirtual, the paper's synchronous loop, is its
+// instant-arrival case. NewClient/BuildClients build standalone clients
+// for callers that drive Client.Run themselves.
 package fl
 
 import (
@@ -33,8 +29,9 @@ import (
 // clientSeedStride spaces per-client model seeds (BuildClients and
 // ClientPool derive client i's seed as base + i*stride); clientRNGSalt
 // decorrelates a client's data-order RNG from its weight-init stream.
-// Both constants are part of the determinism contract: eager and virtual
-// clients must derive identical streams from the same identity.
+// Both constants are part of the determinism contract: a pooled identity
+// and a standalone client built for the same id derive identical
+// streams.
 const (
 	clientSeedStride = 0x9e3779b9
 	clientRNGSalt    = 0x5bd1e995
@@ -88,10 +85,10 @@ type Update struct {
 // cell the warm train steps and inference passes reuse the same memory
 // instead of re-allocating every activation.
 //
-// Data is the shard-access interface, not a concrete dataset: an eager
-// client holds a zero-copy dataset.View of the shared training set (or a
-// private *dataset.Dataset), and a ClientPool slot is rebound to a new
-// identity's view each round.
+// Data is the shard-access interface, not a concrete dataset: a
+// standalone client holds a zero-copy dataset.View of the shared
+// training set (or a private *dataset.Dataset), and a ClientPool slot is
+// rebound to a new identity's view each round.
 type Client struct {
 	ID   int
 	Data dataset.Data
@@ -150,9 +147,9 @@ func EvalLoss(m *nn.Network, d *dataset.Dataset) float64 {
 
 // EvalLossAcc returns mean loss and top-1 accuracy of the model on d.
 // It is the sequential reference kernel and allocates its loss scratch
-// per call; hot paths (Run, SingleSet, client inference) go through the
-// persistent arenas of Evaluator and Client instead, which are
-// bit-identical to this by construction.
+// per call; hot paths (the round loop, SingleSet, client inference) go
+// through the persistent arenas of Evaluator and Client instead, which
+// are bit-identical to this by construction.
 func EvalLossAcc(m *nn.Network, d *dataset.Dataset) (loss, acc float64) {
 	if d.N == 0 {
 		return 0, 0
@@ -178,15 +175,6 @@ func (c *Client) evalLoss() float64 {
 // return the update tuple with full-width weights.
 func (c *Client) Run(global []float64, lc LocalConfig) Update {
 	return c.run(global, lc, F64)
-}
-
-// Run32 is Run in f32 precision mode: local training is identical (the
-// solver runs in float64), but the uploaded weights are quantized once
-// to float32 at the round boundary (Update.Weights32). global must be
-// on the float32 lattice — the run loop maintains that invariant — so
-// the broadcast itself loses nothing.
-func (c *Client) Run32(global []float64, lc LocalConfig) Update {
-	return c.run(global, lc, F32)
 }
 
 func (c *Client) run(global []float64, lc LocalConfig, prec Precision) Update {

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -23,7 +25,7 @@ import (
 
 // detFederation builds a small non-IID federation shared by the
 // determinism cases.
-func detFederation(t testing.TB, seed uint64) (clients []*Client, test *dataset.Dataset, cfg RunConfig) {
+func detFederation(t testing.TB, seed uint64) (clients *ClientPool, test *dataset.Dataset, cfg RunConfig) {
 	t.Helper()
 	tr, te := dataset.Synthesize(dataset.MNISTSim().Scaled(0.12), seed)
 	f := tinyFactory(tr.Dim, tr.NumClasses)
@@ -36,7 +38,7 @@ func detFederation(t testing.TB, seed uint64) (clients []*Client, test *dataset.
 		Seed:      seed + 2,
 		EvalEvery: 1,
 	}
-	return BuildClients(tr, assign.ClientIndices, f, seed+3), te, cfg
+	return NewClientPool(tr, IndexPartition(assign.ClientIndices), f, seed+3), te, cfg
 }
 
 // detAggregators returns fresh aggregator instances (FedDRL is stateful,
@@ -68,7 +70,7 @@ func stripTimings(r *Result) *Result {
 	return r
 }
 
-// TestRunBitIdenticalAcrossWorkers is the archetype test: Run with
+// TestRunBitIdenticalAcrossWorkers is the archetype test: RunVirtual with
 // Workers ∈ {1, 2, 3, GOMAXPROCS} produces byte-for-byte the same
 // Result (final weights, accuracy series, client-loss statistics) as
 // the sequential path, for all three aggregators.
@@ -83,7 +85,7 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 					cfg.Local.ProxMu = 0.01
 				}
 				cfg.Workers = workers
-				return stripTimings(Run(cfg, clients, test, mkAgg()))
+				return stripTimings(RunVirtual(cfg, clients, test, mkAgg()))
 			}
 			ref := runAt(1)
 			if len(ref.Weights) == 0 {
@@ -110,21 +112,21 @@ func TestRunBitIdenticalAcrossWorkers(t *testing.T) {
 func TestRunSharedPool(t *testing.T) {
 	const seed = 17
 	clients, test, cfg := detFederation(t, seed)
-	ref := stripTimings(Run(cfg, clients, test, FedAvg{}))
+	ref := stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 
 	pool := engine.New(3)
 	defer pool.Close()
 	clients2, test2, cfg2 := detFederation(t, seed)
 	cfg2.Pool = pool
-	got := stripTimings(Run(cfg2, clients2, test2, FedAvg{}))
+	got := stripTimings(RunVirtual(cfg2, clients2, test2, FedAvg{}))
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatal("shared-pool Result differs from sequential")
 	}
 }
 
 // dupSelector violates the Selector contract on purpose: it returns the
-// same client twice, which must force Run onto the sequential fallback
-// instead of racing two lanes on one client.
+// same client twice, which must force the round loop onto the
+// sequential fallback instead of racing two lanes on one client.
 type dupSelector struct{}
 
 func (dupSelector) Name() string { return "dup" }
@@ -142,11 +144,210 @@ func TestRunDuplicateSelectionFallsBackSequential(t *testing.T) {
 		clients, test, cfg := detFederation(t, seed)
 		cfg.Selector = dupSelector{}
 		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	if !reflect.DeepEqual(run(1), run(4)) {
 		t.Fatal("duplicate-selection run differs across worker counts")
 	}
+}
+
+// resultDigest is an FNV-64a digest of a Result: the method name, every
+// recorded metric of every round and the final weights, all as exact
+// bits.
+func resultDigest(r *Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	f := func(x float64) { put(math.Float64bits(x)) }
+	h.Write([]byte(r.Method))
+	put(uint64(r.NumParam))
+	for _, m := range r.Rounds {
+		put(uint64(m.Round))
+		if m.Evaluated {
+			put(1)
+		} else {
+			put(0)
+		}
+		f(m.TestAcc)
+		f(m.TestLoss)
+		f(m.ClientLossMean)
+		f(m.ClientLossVar)
+		f(m.ClientLossMax)
+		f(m.ClientLossMin)
+		put(uint64(m.Quarantined))
+		put(uint64(m.DecisionTime))
+		put(uint64(m.AggTime))
+	}
+	for _, w := range r.Weights {
+		f(w)
+	}
+	for _, a := range r.Accuracy {
+		f(a)
+	}
+	for _, a := range r.AccRounds {
+		put(uint64(a))
+	}
+	return h.Sum64()
+}
+
+// roundLoopPins are digests of stripTimings(Result) on detFederation(11),
+// recorded from the materialized-fleet ("eager") round loop that the one
+// RunAsync loop replaced. Keys are aggregator/precision/selector, plus
+// one sign-flip cohort under the coordinate-wise median. The digests are
+// identical on every kernel backend.
+var roundLoopPins = map[string]uint64{
+	"FedAvg/f32/dup":      0xe7be3af5c217b13b,
+	"FedAvg/f32/uniform":  0xcb19e699f6b64cfe,
+	"FedAvg/f64/dup":      0x71135a2327f6498b,
+	"FedAvg/f64/uniform":  0xb079882071ca5c82,
+	"FedDRL/f32/dup":      0x5ecc4f891c4afb56,
+	"FedDRL/f32/uniform":  0xc543fa8b54174537,
+	"FedDRL/f64/dup":      0x50aa260a77232ae2,
+	"FedDRL/f64/uniform":  0x79c267778ce52e26,
+	"FedProx/f32/dup":     0xf6e86975c95ae0de,
+	"FedProx/f32/uniform": 0x95081d885841494f,
+	"FedProx/f64/dup":     0x1bdb1fc66879156e,
+	"FedProx/f64/uniform": 0x5db0046315d01f5b,
+	"signflip-median":     0x36595a80ba755fbe,
+}
+
+const pinSeed = 11
+
+// pinAggs names the aggregators of detAggregators in a fixed order.
+var pinAggs = []string{"FedAvg", "FedProx", "FedDRL"}
+
+// pinWorkers are the engine widths every pinned case is replayed at.
+var pinWorkers = []int{1, 2, 4, 8}
+
+// pinCase is one pinned configuration of detFederation(pinSeed).
+type pinCase struct {
+	key   string
+	agg   func() Aggregator
+	tweak func(*RunConfig)
+}
+
+// aggPin is the pinned case for aggregator name at prec, under the
+// contract-violating dupSelector when dup.
+func aggPin(name string, prec Precision, dup bool) pinCase {
+	sel := "uniform"
+	if dup {
+		sel = "dup"
+	}
+	return pinCase{
+		key: name + "/" + string(prec) + "/" + sel,
+		agg: detAggregators(4, pinSeed)[name],
+		tweak: func(c *RunConfig) {
+			if name == "FedProx" {
+				c.Local.ProxMu = 0.01
+			}
+			c.Precision = prec
+			if dup {
+				c.Selector = dupSelector{}
+			}
+		},
+	}
+}
+
+// runner is a round-loop entry under test.
+type runner func(RunConfig, *ClientPool, *dataset.Dataset, Aggregator) *Result
+
+// instantAsync runs RunAsync with zero-value async fields and asserts
+// that instant arrivals produced no async effects: nothing dropped,
+// nothing stale, the virtual clock at 0.
+func instantAsync(t *testing.T) runner {
+	return func(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) *Result {
+		ar := mustAsync(RunAsync(AsyncConfig{RunConfig: cfg}, clients, test, agg))
+		for _, m := range ar.Async {
+			if m.Dropped != 0 || m.MeanStaleness != 0 || m.MaxStaleness != 0 || m.VirtualTime != 0 || m.Arrived != m.Dispatched {
+				t.Fatalf("instant arrivals produced async effects: %+v", m)
+			}
+		}
+		return ar.Result
+	}
+}
+
+// assert replays c through run at every pinWorkers width and requires
+// the pinned digest — every weight bit and every metric.
+func (c pinCase) assert(t *testing.T, run runner) {
+	t.Helper()
+	want, ok := roundLoopPins[c.key]
+	if !ok {
+		t.Fatalf("no pin for %s", c.key)
+	}
+	for _, workers := range pinWorkers {
+		clients, test, cfg := detFederation(t, pinSeed)
+		cfg.Workers = workers
+		c.tweak(&cfg)
+		if got := resultDigest(stripTimings(run(cfg, clients, test, c.agg()))); got != want {
+			t.Fatalf("%s Workers=%d: digest %#016x, pinned %#016x", c.key, workers, got, want)
+		}
+	}
+}
+
+// TestVirtualMatchesEagerBitIdentical: RunVirtual reproduces the eager
+// fleet's pinned f64 results for all three aggregators at every width.
+func TestVirtualMatchesEagerBitIdentical(t *testing.T) {
+	for _, name := range pinAggs {
+		t.Run(name, func(t *testing.T) { aggPin(name, F64, false).assert(t, RunVirtual) })
+	}
+}
+
+// TestF32EagerVirtualBitIdentical is the same pin under F32.
+func TestF32EagerVirtualBitIdentical(t *testing.T) {
+	for _, name := range pinAggs {
+		t.Run(name, func(t *testing.T) { aggPin(name, F32, false).assert(t, RunVirtual) })
+	}
+}
+
+// TestRunVirtualDuplicateSelection: a Selector that returns duplicates
+// pushes the loop onto the sequential safety net, where the second
+// occurrence of an identity resumes the RNG stream its first occurrence
+// advanced — pinned at both widths, identically at every worker count.
+func TestRunVirtualDuplicateSelection(t *testing.T) {
+	for _, name := range pinAggs {
+		for _, prec := range []Precision{F64, F32} {
+			aggPin(name, prec, true).assert(t, RunVirtual)
+		}
+	}
+}
+
+// TestAsyncDegenerateMatchesRunVirtual: a zero-value RunAsync reproduces
+// the pinned f64 results, uniform and duplicate selection alike.
+func TestAsyncDegenerateMatchesRunVirtual(t *testing.T) {
+	for _, name := range pinAggs {
+		t.Run(name, func(t *testing.T) {
+			aggPin(name, F64, false).assert(t, instantAsync(t))
+			aggPin(name, F64, true).assert(t, instantAsync(t))
+		})
+	}
+}
+
+// TestF32AsyncDegenerateMatchesVirtual is the same pin under F32.
+func TestF32AsyncDegenerateMatchesVirtual(t *testing.T) {
+	for _, name := range pinAggs {
+		aggPin(name, F32, false).assert(t, instantAsync(t))
+		aggPin(name, F32, true).assert(t, instantAsync(t))
+	}
+}
+
+// TestSignFlipMedianPinned: a seeded sign-flip cohort merged by the
+// coordinate-wise median reproduces its pinned result through both
+// entries.
+func TestSignFlipMedianPinned(t *testing.T) {
+	c := pinCase{
+		key: "signflip-median",
+		agg: func() Aggregator { return FedAvg{} },
+		tweak: func(c *RunConfig) {
+			c.Attack = SignFlip{ByzantineSet: ByzantineSet{Frac: 0.4}}
+			c.AttackSeed = 99
+			c.Merger = Median{}
+		},
+	}
+	c.assert(t, RunVirtual)
+	c.assert(t, instantAsync(t))
 }
 
 // TestEvaluatorMatchesEvalLossAcc checks the chunk-parallel evaluator

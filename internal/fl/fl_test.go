@@ -227,8 +227,8 @@ func TestRunFedAvgImprovesAccuracy(t *testing.T) {
 	tr, te := tinyData(t, 6)
 	a := partition.Pareto(tr, 5, 2, 1.2, rng.New(7))
 	cfg := runConfig(tr, 8, 5)
-	clients := BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed)
-	res := Run(cfg, clients, te, FedAvg{})
+	clients := NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed)
+	res := RunVirtual(cfg, clients, te, FedAvg{})
 	if res.Method != "FedAvg" {
 		t.Fatalf("method %q", res.Method)
 	}
@@ -248,10 +248,10 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	tr, te := tinyData(t, 8)
 	a := partition.Pareto(tr, 4, 2, 1.2, rng.New(9))
 	cfg := runConfig(tr, 3, 4)
-	seq := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	seq := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	cfgP := cfg
 	cfgP.Workers = 4
-	par := Run(cfgP, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	par := RunVirtual(cfgP, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	if len(seq.Accuracy) != len(par.Accuracy) {
 		t.Fatal("eval counts differ")
 	}
@@ -273,7 +273,7 @@ func TestRunDeterminism(t *testing.T) {
 		drl.WarmupExperiences = 2
 		drl.UpdatesPerRound = 1
 		drl.BufferCap = 64
-		return Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, NewFedDRL(core.NewAgent(drl)))
+		return RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, NewFedDRL(core.NewAgent(drl)))
 	}
 	r1, r2 := run(), run()
 	for i := range r1.Accuracy {
@@ -287,7 +287,7 @@ func TestRunKClamped(t *testing.T) {
 	tr, te := tinyData(t, 12)
 	a := partition.Pareto(tr, 3, 2, 1.2, rng.New(13))
 	cfg := runConfig(tr, 2, 10) // K=10 > 3 clients
-	res := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	res := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	if len(res.Rounds) != 2 {
 		t.Fatal("run did not complete with clamped K")
 	}
@@ -296,13 +296,13 @@ func TestRunKClamped(t *testing.T) {
 func TestRunSkipsEmptyClients(t *testing.T) {
 	tr, te := tinyData(t, 14)
 	f := tinyFactory(tr.Dim, tr.NumClasses)
-	clients := []*Client{
-		NewClient(0, tr.Subset([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}), f, 1),
-		NewClient(1, tr.Subset(nil), f, 2), // empty
-		NewClient(2, tr.Subset([]int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}), f, 3),
-	}
+	clients := NewClientPool(tr, IndexPartition{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{}, // empty
+		{10, 11, 12, 13, 14, 15, 16, 17, 18, 19},
+	}, f, 1)
 	cfg := runConfig(tr, 2, 3)
-	res := Run(cfg, clients, te, FedAvg{})
+	res := RunVirtual(cfg, clients, te, FedAvg{})
 	if len(res.Rounds) != 2 {
 		t.Fatal("run failed with an empty client")
 	}
@@ -320,7 +320,7 @@ func TestFedDRLAggregatorLifecycle(t *testing.T) {
 	agent := core.NewAgent(drlCfg)
 	agg := NewFedDRL(agent)
 	cfg := runConfig(tr, 6, 4)
-	res := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, agg)
+	res := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, agg)
 	if res.Method != "FedDRL" {
 		t.Fatalf("method %q", res.Method)
 	}
@@ -365,7 +365,7 @@ func TestSingleSetBeatsOrMatchesFederated(t *testing.T) {
 	a := partition.ClusteredEqual(tr, 5, 0.6, 2, 3, rng.New(21))
 	cfg := runConfig(tr, 6, 5)
 	single := SingleSet(cfg, tr, te)
-	fed := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	fed := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	if single.Best()+5 < fed.Best() {
 		t.Fatalf("SingleSet (%v) should be near or above FedAvg (%v)", single.Best(), fed.Best())
 	}
@@ -376,7 +376,7 @@ func TestEvalEveryCadence(t *testing.T) {
 	a := partition.Pareto(tr, 4, 2, 1.2, rng.New(23))
 	cfg := runConfig(tr, 7, 4)
 	cfg.EvalEvery = 3
-	res := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	res := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	// Rounds 0, 3, 6 evaluated; 6 is also the final round.
 	if len(res.Accuracy) != 3 {
 		t.Fatalf("evaluations = %d, want 3 (rounds %v)", len(res.Accuracy), res.AccRounds)

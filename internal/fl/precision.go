@@ -12,11 +12,11 @@ import (
 //
 // Under F32 the invariants are:
 //
-//   - The global model lives on the float32 lattice: runLoop/RunAsync
-//     carry it as []float64 (so evaluation, metrics and Result stay
-//     unchanged) but every element is exactly float32-representable
-//     (tensor.QuantizeLattice after init, exact widening after each
-//     merge). Quantize∘Widen is the identity there, so no drift ever
+//   - The global model lives on the float32 lattice: the round loop
+//     (RunAsync) carries it as []float64 (so evaluation, metrics and
+//     Result stay unchanged) but every element is exactly
+//     float32-representable (tensor.QuantizeLattice after init, exact
+//     widening after each merge). Quantize∘Widen is the identity there, so no drift ever
 //     accumulates from the representation choice.
 //   - Clients train locally in float64 (the nn solver is untouched) and
 //     quantize the uploaded weights once, at the round boundary, with

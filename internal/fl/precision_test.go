@@ -12,74 +12,8 @@ import (
 
 // The f32 precision-mode suite: RunConfig.Precision = F32 must honor
 // the same determinism contract as every other mode — bit-identical
-// across worker counts, across eager/virtual/async construction and
-// across kernel backends — while halving the update wire size.
-
-// TestF32EagerVirtualBitIdentical extends the virtual-client acceptance
-// test to F32: Run and RunVirtual under Precision F32 must agree bit
-// for bit — every weight, every metric — for all three aggregators at
-// Workers ∈ {1, 2, 4, 8}.
-func TestF32EagerVirtualBitIdentical(t *testing.T) {
-	const seed = 11
-	for name, mkAgg := range detAggregators(4, seed) {
-		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				eagerRun := func() *Result {
-					clients, test, cfg := detFederation(t, seed)
-					if name == "FedProx" {
-						cfg.Local.ProxMu = 0.01
-					}
-					cfg.Workers = workers
-					cfg.Precision = F32
-					return stripTimings(Run(cfg, clients, test, mkAgg()))
-				}
-				virtualRun := func() *Result {
-					cp, test, cfg := detVirtualFederation(t, seed)
-					if name == "FedProx" {
-						cfg.Local.ProxMu = 0.01
-					}
-					cfg.Workers = workers
-					cfg.Precision = F32
-					return stripTimings(RunVirtual(cfg, cp, test, mkAgg()))
-				}
-				want, got := eagerRun(), virtualRun()
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("Workers=%d: f32 virtual Result differs from eager", workers)
-				}
-				for i := range want.Weights {
-					if math.Float64bits(want.Weights[i]) != math.Float64bits(got.Weights[i]) {
-						t.Fatalf("Workers=%d: f32 weight %d differs bitwise", workers, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestF32AsyncDegenerateMatchesVirtual: the degenerate async trace must
-// reproduce RunVirtual bit for bit under F32, exactly as it does under
-// the default precision.
-func TestF32AsyncDegenerateMatchesVirtual(t *testing.T) {
-	const seed = 17
-	for _, workers := range []int{1, 4} {
-		syncRun := func() *Result {
-			cp, test, cfg := detVirtualFederation(t, seed)
-			cfg.Workers = workers
-			cfg.Precision = F32
-			return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-		}
-		asyncRun := func() *AsyncResult {
-			cp, test, cfg := detVirtualFederation(t, seed)
-			cfg.Workers = workers
-			cfg.Precision = F32
-			return stripAsyncTimings(mustAsync(RunAsync(AsyncConfig{RunConfig: cfg}, cp, test, FedAvg{})))
-		}
-		want, got := syncRun(), asyncRun()
-		if !reflect.DeepEqual(want, got.Result) {
-			t.Fatalf("Workers=%d: f32 degenerate async differs from RunVirtual", workers)
-		}
-	}
-}
+// across worker counts and across kernel backends — while halving the
+// update wire size.
 
 // TestF32BitIdenticalAcrossBackends forces each kernel tier in the
 // host's fallback chain and requires byte-for-byte the same f32-mode
@@ -97,7 +31,7 @@ func TestF32BitIdenticalAcrossBackends(t *testing.T) {
 		clients, test, cfg := detFederation(t, seed)
 		cfg.Workers = 2
 		cfg.Precision = F32
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	var ref *Result
 	var refName string
@@ -125,7 +59,7 @@ func TestF32GlobalStaysOnLattice(t *testing.T) {
 	runAt := func(prec Precision) *Result {
 		clients, test, cfg := detFederation(t, seed)
 		cfg.Precision = prec
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
+		return stripTimings(RunVirtual(cfg, clients, test, FedAvg{}))
 	}
 	f32 := runAt(F32)
 	for i, w := range f32.Weights {

@@ -7,10 +7,8 @@ import (
 
 	"feddrl/internal/dataset"
 	"feddrl/internal/engine"
-	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
 	"feddrl/internal/nn"
-	"feddrl/internal/rng"
 	"feddrl/internal/tensor"
 )
 
@@ -43,7 +41,7 @@ type RunConfig struct {
 	// grid runner threads one pool through many concurrent cells, and
 	// the work-stealing scheduler keeps this run's nested loops parallel
 	// even while sibling cells hold every lane). When set it overrides
-	// Workers and the caller owns its lifecycle; when nil, Run creates
+	// Workers and the caller owns its lifecycle; when nil, the run creates
 	// and closes a pool of Workers lanes itself.
 	Pool *engine.Pool
 	// EvalEvery sets the test-evaluation cadence in rounds (default 1).
@@ -89,7 +87,7 @@ type RunConfig struct {
 // round's merge cohort and counted in RoundMetrics.Quarantined. The
 // gate never panics mid-run — that split is deliberate: Aggregate and
 // friends panic on non-finite input (library misuse: the caller was
-// supposed to screen), while the run loops quarantine and continue
+// supposed to screen), while the round loop quarantines and continues
 // (runtime fault: a fault model or a diverging client produced the
 // vector). If every upload of a round is quarantined the global model
 // simply carries over unchanged.
@@ -127,26 +125,6 @@ func rejectVec[E tensor.Elem](q QuarantineConfig, w []E) bool {
 		s += x * x
 	}
 	return math.Sqrt(s) > q.MaxNorm
-}
-
-// quarantineInto screens a cohort: survivors are appended to kept
-// (cleared on entry) and the quarantined count is returned. When
-// nothing is rejected the returned slice is the arrived slice itself,
-// so the benign path hands the aggregator the exact historical value.
-func quarantineInto(q QuarantineConfig, arrived []Update, kept []Update) ([]Update, int) {
-	kept = kept[:0]
-	quarantined := 0
-	for i := range arrived {
-		if q.reject(&arrived[i]) {
-			quarantined++
-		} else {
-			kept = append(kept, arrived[i])
-		}
-	}
-	if quarantined == 0 {
-		return arrived, 0
-	}
-	return kept, quarantined
 }
 
 // Validate panics on an inconsistent run configuration.
@@ -284,172 +262,63 @@ func (c RunConfig) enginePool() (pool *engine.Pool, release func()) {
 	return c.Pool, func() {}
 }
 
-// population is the run loop's view of a client fleet: the Population
-// surface the Selector sees, plus slot checkout for the training phase
-// and loss write-back. checkout/checkin are never called concurrently —
-// the parallel path binds all K slots before fanning out and releases
-// them after the barrier — so implementations need no locking.
-type population interface {
-	Population
-	// checkout returns a ready-to-train client for eligible index i,
-	// bound to slot. Concurrent checkouts always use distinct slots.
-	checkout(slot, i int) *Client
-	// checkin releases a checked-out client, persisting whatever
-	// identity state (RNG position) must survive to its next selection.
-	checkin(slot int, c *Client)
-	// noteLoss records client i's latest global-model inference loss.
-	noteLoss(i int, v float64)
+// RunVirtual executes the synchronous Algorithm 2 over a ClientPool:
+// for every round, broadcast the global weights to K selected clients,
+// train locally (in parallel on the run's engine pool), compute impact
+// factors via the aggregator, merge (Eq. 4), and record metrics. It is
+// RunAsync's instant-arrival case — every update arrives at once and
+// nothing is dropped, so each round folds exactly the selected cohort —
+// and returns the full per-round record.
+func RunVirtual(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) *Result {
+	res, err := RunAsync(AsyncConfig{RunConfig: cfg}, clients, test, agg)
+	if err != nil {
+		// Unreachable: only a dropping arrival model can starve a round.
+		panic(err)
+	}
+	return res.Result
 }
 
-// eagerClients adapts a materialized []*Client fleet to the population
-// interface: checkout is identity lookup and checkin is a no-op, since
-// each eager client permanently owns its state.
-type eagerClients struct {
-	clients []*Client
-	losses  []float64
+// recorder appends each round's metrics to a Result, evaluating the
+// global model on the test set every EvalEvery rounds and at the last
+// round (the accuracy cadence every run shares).
+type recorder struct {
+	res    *Result
+	ev     *Evaluator
+	test   *dataset.Dataset
+	every  int
+	rounds int
 }
 
-func (e *eagerClients) NumClients() int              { return len(e.clients) }
-func (e *eagerClients) SampleCount(i int) int        { return e.clients[i].Data.Len() }
-func (e *eagerClients) LastLoss(i int) float64       { return e.losses[i] }
-func (e *eagerClients) checkout(slot, i int) *Client { return e.clients[i] }
-func (e *eagerClients) checkin(slot int, c *Client)  {}
-func (e *eagerClients) noteLoss(i int, v float64)    { e.losses[i] = v }
-
-// Run executes Algorithm 2: for every round, broadcast the global
-// weights to K selected clients, train locally (optionally in parallel),
-// compute impact factors via the aggregator, merge (Eq. 4), and record
-// metrics. It returns the full per-round record.
-//
-// Run takes a materialized client fleet; RunVirtual is the
-// constant-memory equivalent over a ClientPool, bit-identical for the
-// same identities.
-func Run(cfg RunConfig, clients []*Client, test *dataset.Dataset, agg Aggregator) *Result {
-	cfg.Validate()
-	if len(clients) == 0 {
-		panic("fl: Run with no clients")
+// newRecorder builds the run's recorder. The evaluator's persistent
+// lanes serve the sequential case too (nil pool → one lane), so no eval
+// path re-allocates its loss scratch per round.
+func (c RunConfig) newRecorder(res *Result, test *dataset.Dataset, pool *engine.Pool) *recorder {
+	rc := &recorder{res: res, test: test, every: c.EvalEvery, rounds: c.Rounds}
+	if rc.every == 0 {
+		rc.every = 1
 	}
-	// Only clients with data can contribute.
-	eligible := make([]*Client, 0, len(clients))
-	for _, c := range clients {
-		if c.Data.Len() > 0 {
-			eligible = append(eligible, c)
-		}
-	}
-	if len(eligible) == 0 {
-		panic("fl: all client shards are empty")
-	}
-	pop := &eagerClients{clients: eligible, losses: make([]float64, len(eligible))}
-	return runLoop(cfg, pop, test, agg)
-}
-
-// runLoop is the round loop shared by Run and RunVirtual. All per-round
-// scratch (update slots, metric buffers, the distinct-check set) is
-// allocated once up front, so the loop itself adds no heap churn.
-func runLoop(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregator) *Result {
-	if agg == nil {
-		panic("fl: Run with nil aggregator")
-	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
-	k := cfg.K
-	if k > pop.NumClients() {
-		k = pop.NumClients()
-	}
-
-	serverRNG := rng.New(cfg.Seed)
-	serverModel := cfg.Factory(cfg.Seed)
-	global := serverModel.ParamVector()
-	if cfg.Precision == F32 {
-		// f32 mode's standing invariant: the float64-carried global
-		// vector is exactly float32-representable, so every broadcast and
-		// every client-side quantization of it is lossless.
-		tensor.QuantizeLattice(global)
-	}
-
-	pool, release := cfg.enginePool()
-	defer release()
-	var ev *Evaluator
 	if test != nil {
-		// The evaluator's persistent lanes serve the sequential case too
-		// (nil pool → one lane), so no eval path re-allocates its loss
-		// scratch per round.
-		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
+		rc.ev = NewEvaluator(c.Factory, c.Seed, pool)
 	}
+	return rc
+}
 
-	sel := cfg.Selector
-	if sel == nil {
-		sel = UniformSelector{}
+// record evaluates global when the cadence calls for it and appends m.
+func (rc *recorder) record(m RoundMetrics, global []float64) {
+	if rc.test != nil && (m.Round%rc.every == 0 || m.Round == rc.rounds-1) {
+		loss, acc := rc.ev.Eval(global, rc.test)
+		m.Evaluated = true
+		m.TestLoss = loss
+		m.TestAcc = acc * 100
+		rc.res.Accuracy = append(rc.res.Accuracy, m.TestAcc)
+		rc.res.AccRounds = append(rc.res.AccRounds, m.Round)
 	}
-
-	atk := newAttackRuntime(cfg.Attack, cfg.AttackSeed, cfg.Seed)
-
-	res := &Result{Method: agg.Name(), NumParam: len(global)}
-	updates := make([]Update, k)
-	slots := make([]*Client, k)
-	lb := make([]float64, k)
-	seen := make(map[int]struct{}, k)
-	kept := make([]Update, 0, k)
-	for round := 0; round < cfg.Rounds; round++ {
-		selected := sel.Select(round, k, pop, serverRNG)
-
-		trainCohort(pop, selected, global, cfg.Local, cfg.Precision, pool, round, atk, updates, slots, seen)
-
-		for i, ci := range selected {
-			pop.noteLoss(ci, updates[i].LossBefore)
-		}
-
-		// Ingress gate: poisoned uploads are dropped from the merge
-		// cohort (counted below); the loss statistics still cover every
-		// arrived update, quarantined or not.
-		merge, quarantined := quarantineInto(cfg.Quarantine, updates, kept)
-
-		var decision, aggTime time.Duration
-		if len(merge) > 0 {
-			t0 := time.Now()
-			alpha := agg.ImpactFactors(round, merge)
-			decision = time.Since(t0)
-
-			t1 := time.Now()
-			global = mergeP(cfg.Precision, cfg.Merger, merge, alpha, pool)
-			aggTime = time.Since(t1)
-		}
-		// Every upload quarantined: the global model carries over.
-
-		for i, u := range updates {
-			lb[i] = u.LossBefore
-		}
-		m := RoundMetrics{
-			Round:          round,
-			ClientLossMean: mathx.Mean(lb),
-			ClientLossVar:  mathx.Variance(lb),
-			ClientLossMax:  mathx.Max(lb),
-			ClientLossMin:  mathx.Min(lb),
-			Quarantined:    quarantined,
-			DecisionTime:   decision,
-			AggTime:        aggTime,
-		}
-		if test != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			loss, acc := ev.Eval(global, test)
-			m.Evaluated = true
-			m.TestLoss = loss
-			m.TestAcc = acc * 100
-			res.Accuracy = append(res.Accuracy, m.TestAcc)
-			res.AccRounds = append(res.AccRounds, round)
-		}
-		res.Rounds = append(res.Rounds, m)
-	}
-	res.Weights = global
-	return res
+	rc.res.Rounds = append(rc.res.Rounds, m)
 }
 
 // trainCohort runs one dispatch cohort's local training: every selected
-// eligible index is checked out, trained against the broadcast global
-// vector, and checked back in. It is shared by the synchronous round
-// loop and the async engine's dispatch phase, so both substrates produce
-// bit-identical client updates for the same cohort.
+// eligible index is checked out of the pool, trained against the
+// broadcast global vector, and checked back in.
 //
 // When a pool is available and the selection is distinct, every identity
 // is bound to its own slot before the fan-out, the slots run in
@@ -458,8 +327,7 @@ func runLoop(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregato
 // for a custom Selector that violates the distinct-indices contract,
 // where two tasks would otherwise share one client's model and RNG: one
 // slot is checked out and returned per iteration, so a duplicated
-// identity resumes the RNG stream its earlier occurrence advanced,
-// exactly like a reused eager client.
+// identity resumes the RNG stream its earlier occurrence advanced.
 //
 // updates, slots and seen are caller-owned scratch of length (capacity
 // for seen) at least len(selected); updates[:len(selected)] is filled in
@@ -471,7 +339,7 @@ func runLoop(cfg RunConfig, pop population, test *dataset.Dataset, agg Aggregato
 // and weight corruption rewrites each finished update inside the
 // fan-out — a pure function of (round, client id), so any lane may run
 // it. atk == nil compiles down to the historical benign path.
-func trainCohort(pop population, selected []int, global []float64, lc LocalConfig, prec Precision, pool *engine.Pool, round int, atk *attackRuntime, updates []Update, slots []*Client, seen map[int]struct{}) {
+func trainCohort(pop *ClientPool, selected []int, global []float64, lc LocalConfig, prec Precision, pool *engine.Pool, round int, atk *attackRuntime, updates []Update, slots []*Client, seen map[int]struct{}) {
 	var orig []dataset.Data
 	if atk != nil && atk.data != nil {
 		orig = make([]dataset.Data, len(selected))
@@ -542,8 +410,8 @@ func distinctInto(seen map[int]struct{}, idx []int) bool {
 // (the reference upper bound of §4.1): per "round" the model runs the
 // same local-solver budget over the combined dataset, and the test
 // accuracy is recorded on the same cadence as the federated runs. It
-// honors Workers/Pool exactly like Run — the tensor kernels and the
-// test evaluation fan out on the same engine — so its timings are
+// honors Workers/Pool exactly like RunVirtual — the tensor kernels and
+// the test evaluation fan out on the same engine — so its timings are
 // comparable with the federated runs; results are bit-identical at any
 // worker count.
 func SingleSet(cfg RunConfig, all *dataset.Dataset, test *dataset.Dataset) *Result {
@@ -551,38 +419,22 @@ func SingleSet(cfg RunConfig, all *dataset.Dataset, test *dataset.Dataset) *Resu
 	if all == nil || all.N == 0 {
 		panic("fl: SingleSet with no data")
 	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery == 0 {
-		evalEvery = 1
-	}
 	pool, release := cfg.enginePool()
 	defer release()
 	client := NewClient(0, all, cfg.Factory, cfg.Seed+0xace)
 	serverModel := cfg.Factory(cfg.Seed)
 	global := serverModel.ParamVector()
-	var ev *Evaluator
-	if test != nil {
-		ev = NewEvaluator(cfg.Factory, cfg.Seed, pool)
-	}
 	res := &Result{Method: "SingleSet", NumParam: len(global)}
+	rec := cfg.newRecorder(res, test, pool)
 	for round := 0; round < cfg.Rounds; round++ {
 		u := client.Run(global, cfg.Local)
 		global = u.Weights
-		m := RoundMetrics{
+		rec.record(RoundMetrics{
 			Round:          round,
 			ClientLossMean: u.LossBefore,
 			ClientLossMax:  u.LossBefore,
 			ClientLossMin:  u.LossBefore,
-		}
-		if test != nil && (round%evalEvery == 0 || round == cfg.Rounds-1) {
-			loss, acc := ev.Eval(global, test)
-			m.Evaluated = true
-			m.TestLoss = loss
-			m.TestAcc = acc * 100
-			res.Accuracy = append(res.Accuracy, m.TestAcc)
-			res.AccRounds = append(res.AccRounds, round)
-		}
-		res.Rounds = append(res.Rounds, m)
+		}, global)
 	}
 	res.Weights = global
 	return res

@@ -10,9 +10,8 @@ import (
 // deliberately exposes per-client scalars rather than a []*Client slice:
 // in virtual-client mode (ClientPool) no client objects exist outside
 // the K active slots, and a selector over a million identities must not
-// force them into existence. Indices are eligible-client indices — the
-// same index space for eager and virtual runs, which is part of the
-// bit-identity contract between the two.
+// force them into existence. Indices are eligible-client indices: the
+// identities with a non-empty shard, in identity order.
 type Population interface {
 	// NumClients returns the number of eligible (non-empty) clients.
 	NumClients() int
@@ -33,8 +32,8 @@ type Selector interface {
 	// Name identifies the strategy.
 	Name() string
 	// Select returns k distinct indices into the eligible population.
-	// Returning duplicates violates the contract; Run tolerates it by
-	// falling back to its sequential safety-net path.
+	// Returning duplicates violates the contract; the round loop
+	// tolerates it by falling back to its sequential safety-net path.
 	Select(round, k int, pop Population, r *rng.RNG) []int
 }
 
@@ -43,9 +42,7 @@ type Selector interface {
 // allocates and shuffles an O(n) permutation, which at a million virtual
 // clients would dominate every round. Below the cutoff the historical
 // Choose stream is preserved, so existing small-population runs (and
-// their cached experiment artifacts) are unchanged bit for bit. Eager
-// and virtual runs over the same population take the same branch, so
-// the two stay bit-identical at every n.
+// their cached experiment artifacts) are unchanged bit for bit.
 const chooseCutoff = 1 << 12
 
 // chooseDistinct draws k distinct indices uniformly from [0, n).
@@ -81,7 +78,7 @@ func (UniformSelector) Select(round, k int, pop Population, r *rng.RNG) []int {
 // SizeWeightedSelector samples clients with probability proportional to
 // their shard size (without replacement), the common importance-sampling
 // variant. It walks the full population per round (O(n)), so it is meant
-// for eager-scale fleets, not million-client virtual runs.
+// for fleets of thousands, not million-client runs.
 type SizeWeightedSelector struct{}
 
 // Name returns "size-weighted".

@@ -7,27 +7,21 @@ import (
 	"feddrl/internal/rng"
 )
 
-func buildEligible(t *testing.T, sizes []int) []*Client {
-	t.Helper()
-	tr, _ := tinyData(t, 61)
-	f := tinyFactory(tr.Dim, tr.NumClasses)
-	clients := make([]*Client, len(sizes))
-	pos := 0
-	for i, n := range sizes {
-		idx := make([]int, 0, n)
-		for j := 0; j < n && pos < tr.N; j++ {
-			idx = append(idx, pos)
-			pos++
-		}
-		clients[i] = NewClient(i, tr.Subset(idx), f, uint64(70+i))
-	}
-	return clients
+// testPop is a fixed Population: per-client shard sizes and last
+// losses, indexed by eligible index.
+type testPop struct {
+	sizes  []int
+	losses []float64
 }
 
-// popOf wraps an eager fleet and its loss vector as the Population the
-// Selector interface now consumes.
-func popOf(clients []*Client, losses []float64) Population {
-	return &eagerClients{clients: clients, losses: losses}
+func (p testPop) NumClients() int        { return len(p.sizes) }
+func (p testPop) SampleCount(i int) int  { return p.sizes[i] }
+func (p testPop) LastLoss(i int) float64 { return p.losses[i] }
+
+// popOf builds the Population a Selector sees from shard sizes and
+// losses.
+func popOf(sizes []int, losses []float64) Population {
+	return testPop{sizes: sizes, losses: losses}
 }
 
 func assertDistinct(t *testing.T, sel []int, k, n int) {
@@ -45,19 +39,19 @@ func assertDistinct(t *testing.T, sel []int, k, n int) {
 }
 
 func TestUniformSelector(t *testing.T) {
-	clients := buildEligible(t, []int{5, 5, 5, 5, 5, 5})
+	sizes := []int{5, 5, 5, 5, 5, 5}
 	r := rng.New(1)
-	sel := (UniformSelector{}).Select(0, 3, popOf(clients, make([]float64, 6)), r)
+	sel := (UniformSelector{}).Select(0, 3, popOf(sizes, make([]float64, 6)), r)
 	assertDistinct(t, sel, 3, 6)
 }
 
 func TestSizeWeightedSelectorPrefersBigShards(t *testing.T) {
-	clients := buildEligible(t, []int{1, 1, 1, 30})
+	sizes := []int{1, 1, 1, 30}
 	r := rng.New(2)
 	bigCount := 0
 	const trials = 300
 	for i := 0; i < trials; i++ {
-		sel := (SizeWeightedSelector{}).Select(i, 1, popOf(clients, make([]float64, 4)), r)
+		sel := (SizeWeightedSelector{}).Select(i, 1, popOf(sizes, make([]float64, 4)), r)
 		assertDistinct(t, sel, 1, 4)
 		if sel[0] == 3 {
 			bigCount++
@@ -69,11 +63,11 @@ func TestSizeWeightedSelectorPrefersBigShards(t *testing.T) {
 }
 
 func TestPowerOfChoiceSelectsHighLoss(t *testing.T) {
-	clients := buildEligible(t, []int{5, 5, 5, 5, 5, 5})
+	sizes := []int{5, 5, 5, 5, 5, 5}
 	losses := []float64{0.1, 0.2, 9.0, 0.3, 8.0, 0.4}
 	r := rng.New(3)
 	// With d covering the full population, the top-loss clients must win.
-	sel := (PowerOfChoiceSelector{D: 3}).Select(0, 2, popOf(clients, losses), r)
+	sel := (PowerOfChoiceSelector{D: 3}).Select(0, 2, popOf(sizes, losses), r)
 	assertDistinct(t, sel, 2, 6)
 	for _, i := range sel {
 		if losses[i] < 8 {
@@ -83,11 +77,11 @@ func TestPowerOfChoiceSelectsHighLoss(t *testing.T) {
 }
 
 func TestRoundRobinCycles(t *testing.T) {
-	clients := buildEligible(t, []int{5, 5, 5})
+	sizes := []int{5, 5, 5}
 	r := rng.New(4)
 	s := RoundRobinSelector{}
-	r0 := s.Select(0, 2, popOf(clients, make([]float64, 3)), r)
-	r1 := s.Select(1, 2, popOf(clients, make([]float64, 3)), r)
+	r0 := s.Select(0, 2, popOf(sizes, make([]float64, 3)), r)
+	r1 := s.Select(1, 2, popOf(sizes, make([]float64, 3)), r)
 	if r0[0] != 0 || r0[1] != 1 || r1[0] != 2 || r1[1] != 0 {
 		t.Fatalf("round robin order wrong: %v %v", r0, r1)
 	}
@@ -111,7 +105,7 @@ func TestRunWithCustomSelector(t *testing.T) {
 	a := partition.Pareto(tr, 6, 2, 1.2, rng.New(63))
 	cfg := runConfig(tr, 4, 3)
 	cfg.Selector = PowerOfChoiceSelector{D: 2}
-	res := Run(cfg, BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed), te, FedAvg{})
+	res := RunVirtual(cfg, NewClientPool(tr, IndexPartition(a.ClientIndices), cfg.Factory, cfg.Seed), te, FedAvg{})
 	if len(res.Rounds) != 4 {
 		t.Fatal("run with selector failed")
 	}

@@ -104,10 +104,10 @@ type poolSlot struct {
 // The determinism contract: a virtual client's model weights always come
 // from the broadcast global vector, and its RNG stream derives from its
 // identity seed exactly as NewClient's does (seed + id*stride, salted),
-// resuming across selections — so RunVirtual over a ClientPool is
-// bit-identical to Run over BuildClients with the same base seed and
-// partition. ClientPool is not safe for concurrent use; the run loop
-// serializes all checkout/checkin calls.
+// resuming across selections — so a pooled identity trains exactly like
+// the BuildClients client with the same base seed and partition.
+// ClientPool is not safe for concurrent use; the run loop serializes all
+// checkout/checkin calls.
 type ClientPool struct {
 	data    *dataset.Dataset
 	part    Partition
@@ -156,9 +156,7 @@ func NewClientPool(d *dataset.Dataset, part Partition, factory nn.Factory, seed 
 		rngStates: make(map[int]rng.State),
 		losses:    make(map[int]float64),
 	}
-	// Only identities with samples are eligible, in identity order —
-	// the same filter and ordering Run applies to eager clients, so the
-	// two populations index identically.
+	// Only identities with samples are eligible, in identity order.
 	n := part.NumClients()
 	for i := 0; i < n; i++ {
 		if part.Count(i) <= 0 {
@@ -211,7 +209,7 @@ func (p *ClientPool) noteLoss(i int, v float64) { p.losses[p.identity(i)] = v }
 // zero-copy view, and its RNG is restored to the identity's snapshot
 // (or seeded afresh on first selection). The slot's model weights are
 // not touched — Client.Run overwrites them with the broadcast global
-// vector, exactly as for an eager client.
+// vector.
 func (p *ClientPool) checkout(slot, i int) *Client {
 	for len(p.slots) <= slot {
 		p.slots = append(p.slots, &poolSlot{c: newClientCore(p.factory, p.seed)})
@@ -231,20 +229,8 @@ func (p *ClientPool) checkout(slot, i int) *Client {
 }
 
 // checkin snapshots the identity's RNG position so its stream resumes
-// where it left off at the next selection — the virtual equivalent of an
-// eager client keeping its RNG between rounds.
+// where it left off at the next selection, as a standalone client's RNG
+// carries over between rounds.
 func (p *ClientPool) checkin(slot int, c *Client) {
 	p.rngStates[c.ID] = c.r.State()
-}
-
-// RunVirtual executes Algorithm 2 over a ClientPool: the same round
-// loop as Run, but clients are materialized only while selected, so
-// memory stays O(K) in client count. Results are bit-identical to Run
-// over the equivalent eager fleet.
-func RunVirtual(cfg RunConfig, clients *ClientPool, test *dataset.Dataset, agg Aggregator) *Result {
-	cfg.Validate()
-	if clients == nil {
-		panic("fl: RunVirtual with nil client pool")
-	}
-	return runLoop(cfg, clients, test, agg)
 }

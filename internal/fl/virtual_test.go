@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,109 +11,25 @@ import (
 	"feddrl/internal/rng"
 )
 
-// detVirtualFederation is detFederation's virtual twin: the same
-// dataset, partition, seeds and config, but clients as a ClientPool of
-// lazy identities instead of a materialized fleet.
-func detVirtualFederation(t testing.TB, seed uint64) (cp *ClientPool, test *dataset.Dataset, cfg RunConfig) {
-	t.Helper()
-	tr, te := dataset.Synthesize(dataset.MNISTSim().Scaled(0.12), seed)
-	f := tinyFactory(tr.Dim, tr.NumClasses)
-	assign := partition.ClusteredEqual(tr, 6, 0.6, 2, 3, rng.New(seed+1))
-	cfg = RunConfig{
-		Rounds:    4,
-		K:         4,
-		Local:     LocalConfig{Epochs: 1, Batch: 10, LR: 0.05},
-		Factory:   f,
-		Seed:      seed + 2,
-		EvalEvery: 1,
-	}
-	return NewClientPool(tr, IndexPartition(assign.ClientIndices), f, seed+3), te, cfg
-}
-
-// TestVirtualMatchesEagerBitIdentical is the tentpole's acceptance test:
-// RunVirtual over a ClientPool must reproduce Run over the eager fleet
-// bit for bit — every weight, every metric — for all three aggregators
-// at Workers ∈ {1, 2, 4, 8}. A virtual client's RNG stream derives from
-// its identity seed exactly as NewClient's does and resumes across
-// selections, so the two construction modes are indistinguishable.
-func TestVirtualMatchesEagerBitIdentical(t *testing.T) {
-	const seed = 11
-	for name, mkAgg := range detAggregators(4, seed) {
-		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				eagerRun := func() *Result {
-					clients, test, cfg := detFederation(t, seed)
-					if name == "FedProx" {
-						cfg.Local.ProxMu = 0.01
-					}
-					cfg.Workers = workers
-					return stripTimings(Run(cfg, clients, test, mkAgg()))
-				}
-				virtualRun := func() *Result {
-					cp, test, cfg := detVirtualFederation(t, seed)
-					if name == "FedProx" {
-						cfg.Local.ProxMu = 0.01
-					}
-					cfg.Workers = workers
-					return stripTimings(RunVirtual(cfg, cp, test, mkAgg()))
-				}
-				want, got := eagerRun(), virtualRun()
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("Workers=%d: virtual Result differs from eager", workers)
-				}
-				for i := range want.Weights {
-					if math.Float64bits(want.Weights[i]) != math.Float64bits(got.Weights[i]) {
-						t.Fatalf("Workers=%d: weight %d differs bitwise", workers, i)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestRunVirtualDuplicateSelection: a contract-violating Selector that
-// returns duplicates must push RunVirtual onto the sequential safety-net
-// path with well-defined semantics — the second occurrence of an
-// identity resumes the RNG stream its first occurrence advanced, exactly
-// like a reused eager client — identically at every worker count.
-func TestRunVirtualDuplicateSelection(t *testing.T) {
-	const seed = 19
-	eager := func(workers int) *Result {
-		clients, test, cfg := detFederation(t, seed)
-		cfg.Selector = dupSelector{}
-		cfg.Workers = workers
-		return stripTimings(Run(cfg, clients, test, FedAvg{}))
-	}
-	virtual := func(workers int) *Result {
-		cp, test, cfg := detVirtualFederation(t, seed)
-		cfg.Selector = dupSelector{}
-		cfg.Workers = workers
-		return stripTimings(RunVirtual(cfg, cp, test, FedAvg{}))
-	}
-	ref := eager(1)
-	for _, workers := range []int{1, 4} {
-		if got := virtual(workers); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("Workers=%d: duplicate-selection virtual run differs from eager", workers)
-		}
-	}
-}
-
 // TestBuildClientsViewsMatchSubsets: the zero-copy shards BuildClients
-// now hands out must train bit-identically to privately copied shards.
+// hands out must train bit-identically to privately copied shards.
 func TestBuildClientsViewsMatchSubsets(t *testing.T) {
-	tr, te := tinyData(t, 83)
+	tr, _ := tinyData(t, 83)
 	a := partition.Pareto(tr, 5, 2, 1.2, rng.New(84))
 	cfg := runConfig(tr, 4, 3)
+	global := cfg.Factory(cfg.Seed).ParamVector()
 
 	viewClients := BuildClients(tr, a.ClientIndices, cfg.Factory, cfg.Seed)
-	copyClients := make([]*Client, len(a.ClientIndices))
 	for i, idx := range a.ClientIndices {
-		copyClients[i] = NewClient(i, tr.Subset(idx), cfg.Factory, clientSeed(cfg.Seed, i))
-	}
-	want := stripTimings(Run(cfg, copyClients, te, FedAvg{}))
-	got := stripTimings(Run(cfg, viewClients, te, FedAvg{}))
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("view-backed clients differ from subset-backed clients")
+		copyClient := NewClient(i, tr.Subset(idx), cfg.Factory, clientSeed(cfg.Seed, i))
+		// Two rounds, so the RNG stream carried between them counts too.
+		for round := 0; round < 2; round++ {
+			want := copyClient.Run(global, cfg.Local)
+			got := viewClients[i].Run(global, cfg.Local)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("client %d round %d: view-backed update differs from subset-backed", i, round)
+			}
+		}
 	}
 	// And the views really are views: no shard floats were copied.
 	for i, c := range viewClients {
@@ -129,8 +44,9 @@ func TestBuildClientsViewsMatchSubsets(t *testing.T) {
 }
 
 // TestClientPoolSkipsEmptyShards: empty identities are excluded from the
-// eligible population in identity order, mirroring Run's filter, and the
-// two paths stay bit-identical.
+// eligible population in identity order, and a run over the pool
+// reproduces the digest recorded from the materialized fleet, which
+// filtered empty shards the same way.
 func TestClientPoolSkipsEmptyShards(t *testing.T) {
 	tr, te := tinyData(t, 29)
 	f := tinyFactory(tr.Dim, tr.NumClasses)
@@ -150,10 +66,14 @@ func TestClientPoolSkipsEmptyShards(t *testing.T) {
 		t.Fatalf("eligible client 1 has %d samples, want 8 (identity 2)", cp.SampleCount(1))
 	}
 	cfg := runConfig(tr, 3, 3)
-	want := stripTimings(Run(cfg, BuildClients(tr, indices, f, 31), te, FedAvg{}))
-	got := stripTimings(RunVirtual(cfg, cp, te, FedAvg{}))
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("empty-shard handling differs between eager and virtual runs")
+	const pinned = 0x70126c6f9bf42fea
+	if got := resultDigest(stripTimings(RunVirtual(cfg, cp, te, FedAvg{}))); got != pinned {
+		t.Fatalf("empty-shard run digest %#016x, pinned %#016x", got, pinned)
+	}
+	for id := range cp.rngStates {
+		if len(indices[id]) == 0 {
+			t.Fatalf("empty identity %d was checked out", id)
+		}
 	}
 }
 
@@ -257,7 +177,7 @@ func TestChooseDistinct(t *testing.T) {
 }
 
 // TestSingleSetHonorsWorkers: the centralized baseline must accept
-// Workers/Pool like Run (the kernels and evaluation fan out on the same
+// Workers/Pool like RunVirtual (the kernels and evaluation fan out on the same
 // engine) and stay bit-identical to its sequential execution.
 func TestSingleSetHonorsWorkers(t *testing.T) {
 	run := func(workers int, pool *engine.Pool) *Result {

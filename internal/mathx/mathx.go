@@ -1,16 +1,10 @@
 // Package mathx collects the small numeric kernels shared by every other
-// package in the FedDRL reproduction: numerically stable softmax and
-// log-sum-exp, summary statistics over slices (mean, variance, extrema),
-// and the BLAS-1 style vector primitives (dot, axpy, scale) used by the
-// neural-network layers and the weighted model aggregation (Eq. 4 of the
-// paper).
+// package in the FedDRL reproduction: a numerically stable softmax,
+// softplus, a finite check, and summary statistics over slices (sum,
+// mean, variance, extrema).
 package mathx
 
-import (
-	"math"
-
-	"feddrl/internal/tensor"
-)
+import "math"
 
 // Softmax returns the softmax of x in a freshly allocated slice. It is
 // numerically stable (shifts by the max) and returns a uniform
@@ -52,27 +46,6 @@ func SoftmaxTo(dst, x []float64) {
 	for i := range dst {
 		dst[i] /= sum
 	}
-}
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
-func LogSumExp(x []float64) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return max
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
 }
 
 // Sum returns the sum of x using Kahan compensation, which matters when
@@ -157,72 +130,6 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// Dot returns the inner product of a and b. Lengths must match.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mathx: Dot length mismatch")
-	}
-	sum := 0.0
-	for i, v := range a {
-		sum += v * b[i]
-	}
-	return sum
-}
-
-// Axpy computes y ← y + alpha*x in place through the SIMD-dispatched
-// tensor kernels (bit-identical to the scalar loop). Lengths must match.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: Axpy length mismatch")
-	}
-	tensor.Axpy(alpha, x, y)
-}
-
-// Scale multiplies x by alpha in place through the SIMD-dispatched
-// tensor kernels.
-func Scale(alpha float64, x []float64) {
-	tensor.Scale(alpha, x)
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float64) float64 {
-	// Scaled accumulation to avoid overflow for large magnitudes.
-	max := 0.0
-	for _, v := range x {
-		a := math.Abs(v)
-		if a > max {
-			max = a
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		s := v / max
-		sum += s * s
-	}
-	return max * math.Sqrt(sum)
-}
-
 // Softplus returns log(1 + e^x) computed stably.
 func Softplus(x float64) float64 {
 	if x > 30 {
@@ -242,20 +149,4 @@ func AllFinite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// WeightedSum computes Σ_k w_k · vecs_k into dst (the aggregation kernel
-// of Eq. 4). All vectors must share dst's length; weights and vecs must
-// have equal length. dst is overwritten.
-func WeightedSum(dst []float64, weights []float64, vecs [][]float64) {
-	if len(weights) != len(vecs) {
-		panic("mathx: WeightedSum weights/vecs length mismatch")
-	}
-	Fill(dst, 0)
-	for k, v := range vecs {
-		if len(v) != len(dst) {
-			panic("mathx: WeightedSum vector length mismatch")
-		}
-		Axpy(weights[k], v, dst)
-	}
 }

@@ -100,19 +100,6 @@ func TestSoftmaxToAliasing(t *testing.T) {
 	SoftmaxTo(make([]float64, 2), x)
 }
 
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{0, 0})
-	if !almostEq(got, math.Log(2), 1e-12) {
-		t.Fatalf("LSE([0,0]) = %v", got)
-	}
-	if got := LogSumExp([]float64{1000, 1000}); !almostEq(got, 1000+math.Log(2), 1e-9) {
-		t.Fatalf("LSE overflow guard failed: %v", got)
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LSE(nil) = %v", got)
-	}
-}
-
 func TestSumKahan(t *testing.T) {
 	// 1 + 1e-16 repeated: naive summation loses the small terms.
 	x := make([]float64, 0, 10001)
@@ -163,55 +150,6 @@ func TestMinMaxArgMax(t *testing.T) {
 	}
 }
 
-func TestDotAxpyScaleFill(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	if d := Dot(a, b); !almostEq(d, 32, 1e-12) {
-		t.Fatalf("dot = %v", d)
-	}
-	y := []float64{1, 1, 1}
-	Axpy(2, a, y)
-	want := []float64{3, 5, 7}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("axpy = %v", y)
-		}
-	}
-	Scale(0.5, y)
-	if y[0] != 1.5 || y[2] != 3.5 {
-		t.Fatalf("scale = %v", y)
-	}
-	Fill(y, 9)
-	if y[0] != 9 || y[1] != 9 || y[2] != 9 {
-		t.Fatalf("fill = %v", y)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot length mismatch did not panic")
-		}
-	}()
-	Dot(a, y[:2])
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.3, 0, 1) != 0.3 {
-		t.Fatal("clamp wrong")
-	}
-}
-
-func TestL2Norm(t *testing.T) {
-	if n := L2Norm([]float64{3, 4}); !almostEq(n, 5, 1e-12) {
-		t.Fatalf("norm = %v", n)
-	}
-	if L2Norm(nil) != 0 || L2Norm([]float64{0, 0}) != 0 {
-		t.Fatal("zero norm wrong")
-	}
-	// Overflow guard: naive sum of squares would be +Inf.
-	if n := L2Norm([]float64{1e200, 1e200}); math.IsInf(n, 0) {
-		t.Fatalf("norm overflowed: %v", n)
-	}
-}
-
 func TestSoftplus(t *testing.T) {
 	if !almostEq(Softplus(0), math.Log(2), 1e-12) {
 		t.Fatalf("softplus(0) = %v", Softplus(0))
@@ -245,58 +183,4 @@ func TestAllFinite(t *testing.T) {
 	if !AllFinite(nil) {
 		t.Fatal("empty slice should be finite")
 	}
-}
-
-func TestWeightedSum(t *testing.T) {
-	dst := make([]float64, 3)
-	WeightedSum(dst, []float64{0.25, 0.75}, [][]float64{{4, 0, 8}, {0, 4, 8}})
-	want := []float64{1, 3, 8}
-	for i := range dst {
-		if !almostEq(dst[i], want[i], 1e-12) {
-			t.Fatalf("WeightedSum = %v, want %v", dst, want)
-		}
-	}
-	// Convex combination of identical vectors is the vector itself.
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 1 + r.Intn(8)
-		k := 1 + r.Intn(5)
-		vec := make([]float64, n)
-		for i := range vec {
-			vec[i] = r.Normal(0, 3)
-		}
-		vecs := make([][]float64, k)
-		for j := range vecs {
-			vecs[j] = vec
-		}
-		w := r.Dirichlet(onesSlice(k))
-		out := make([]float64, n)
-		WeightedSum(out, w, vecs)
-		for i := range out {
-			if !almostEq(out[i], vec[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func onesSlice(n int) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
-}
-
-func TestWeightedSumPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched WeightedSum did not panic")
-		}
-	}()
-	WeightedSum(make([]float64, 2), []float64{1}, [][]float64{{1, 2, 3}})
 }

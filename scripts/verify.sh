@@ -43,18 +43,19 @@ gate ./internal/engine/ 'TestNestedDeterminismMatrix|TestStealVsInlineEquivalenc
 # all-zero long-form shapes.
 gate ./internal/experiments/ 'FuzzParseCellKey|TestCellKeyPropertyRoundTrip' -short
 
-# Virtual-client gates: the lazy ClientPool path must be bit-identical
-# to the eager fleet for every aggregator at worker counts 1/2/4/8
-# (including the duplicate-selection safety net and empty-shard
-# eligibility), and a million-client K=10 run must keep its live state
-# O(K). The flat-peak-memory record itself (1e6 vs 100 clients within
-# 2x) is asserted by TestEngineBenchJSON in the full `go test ./...`
-# above and emitted into BENCH_engine.json by `make bench-smoke`.
+# Virtual-client gates: RunVirtual over the lazy ClientPool must
+# reproduce the result digests pinned from the retired eager fleet for
+# every aggregator at worker counts 1/2/4/8 (including the
+# duplicate-selection safety net and empty-shard eligibility), and a
+# million-client K=10 run must keep its live state O(K). The
+# flat-peak-memory record itself (1e6 vs 100 clients within 2x) is
+# asserted by TestEngineBenchJSON in the full `go test ./...` above and
+# emitted into BENCH_engine.json by `make bench-smoke`.
 gate ./internal/fl/ 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicateSelection|TestClientPoolSkipsEmptyShards|TestRunVirtualMillionClients|TestSingleSetHonorsWorkers|TestEvaluatorWarmEvalAllocFree' -race
 
-# Async round-engine determinism gate under -race: a degenerate trace
-# (zero latency, no drops, staleness weight 1) must reproduce RunVirtual
-# bit for bit for every aggregator at worker counts 1/2/4/8, a seeded
+# Async round-engine determinism gate under -race: the instant-arrival
+# trace (zero latency, no drops, staleness weight 1) must reproduce the
+# pinned digests for every aggregator at worker counts 1/2/4/8, a seeded
 # straggler/dropout trace must replay byte-identically across worker
 # counts, partial rounds must stay deterministic, and a client whose
 # update straddles server versions must resume its per-identity RNG
@@ -62,16 +63,16 @@ gate ./internal/fl/ 'TestVirtualMatchesEagerBitIdentical|TestRunVirtualDuplicate
 gate ./internal/fl/ 'TestAsyncDegenerateMatchesRunVirtual|TestAsyncSeededTraceReproducible|TestAsyncPartialRounds|TestClientPoolStraddlingResume|TestAsyncStarvationReturnsError' -race
 
 # Byzantine attack-determinism gate under -race: a seeded sign-flip
-# cohort must replay bitwise across worker counts 1/2/4/8 and across the
-# eager/virtual/degenerate-async engines (plus the f32 twin and the
-# straggler-trace composition), the zero-value attack/merger/quarantine
+# cohort must replay bitwise across worker counts 1/2/4/8 (plus the f32
+# twin and the straggler-trace composition) and, merged by the median,
+# reproduce its pinned digest, the zero-value attack/merger/quarantine
 # configuration must reproduce the benign run byte for byte, every
 # robust merger must be pool-width-invariant and keep its pinned
 # outputs on NaN-payload/±0/±Inf cohorts, every merge entry must panic
 # on a wrong-width, mixed or weightless cohort, and a NaN-uploading
 # fleet must finish with quarantine counts instead of a poisoned global
 # model.
-gate ./internal/fl/ 'TestAttackSeededBitIdenticalAcrossWorkers|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestRobustMergersSpecialValues|TestWrongWidthCohortsPanic|TestQuarantineNaNRunCompletes' -race
+gate ./internal/fl/ 'TestAttackSeededBitIdenticalAcrossWorkers|TestSignFlipMedianPinned|TestAttackDegenerateByteIdentity|TestAttackAsyncTraceReproducible|TestAttackF32AcrossWorkers|TestMergerPoolWidthInvariance|TestWeightedMergeMatchesAggregate|TestRobustMergersSpecialValues|TestWrongWidthCohortsPanic|TestQuarantineNaNRunCompletes' -race
 
 # Benign byte-identity across the merge-seam refactor: figure6 rendered
 # cold, warm (0 cache misses) and with the explicit weighted merge rule
@@ -115,9 +116,9 @@ gate ./internal/tensor/ 'TestBlocked32BitIdentity|TestBlocked32SpecialValues|Tes
 unset TENSOR_BACKEND
 
 # Float32 precision-mode determinism gate under -race: an F32 run must
-# be bit-identical across eager/virtual construction, across worker
-# counts 1/2/4/8 and across kernel backends, the degenerate async trace
-# must reproduce RunVirtual under F32, the f32 merge must be
+# reproduce the digests pinned from the eager fleet at worker counts
+# 1/2/4/8, through RunVirtual and the instant-arrival async trace alike,
+# be bit-identical across kernel backends, the f32 merge must be
 # pool-width-invariant, and the global model must stay on the float32
 # lattice. The -precision CLI surface rides the cmd test suites in the
 # full `go test ./...` above.
