@@ -16,11 +16,14 @@ test:
 
 # Race coverage for the engine-facing packages: the worker pool itself,
 # the fl round loop's parallel paths, and the experiments grid fan-out
-# smoke (the full experiments suite under -race is minutes; the smoke
-# exercises the same concurrent machinery in seconds).
+# smoke plus the computation-sharing soundness test (the full
+# experiments suite under -race is minutes; these exercise the same
+# concurrent machinery, shared datasets included, in well under one).
+# The experiments line goes through scripts/gate.sh, which fails if a
+# named test no longer exists instead of matching nothing and passing.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/fl/...
-	$(GO) test -race -run 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' ./internal/experiments/
+	GO=$(GO) sh scripts/gate.sh ./internal/experiments/ 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|TestSharedComputationSound' -race -short
 
 bench:
 	$(GO) test -bench=Engine -run TestEngineBenchJSON -benchtime=1x .

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,6 +68,21 @@ func (c CellSpec) Key() string {
 		)
 	}
 	return strings.Join(fields, "|")
+}
+
+// computation reduces the spec to what runMethodOn computes from it:
+// the spec with every field zeroed that the method's branch does not
+// read. The centralized SingleSet baseline reads only Dataset, Method
+// and Seed — it never sees a partition, a client count, a non-IID level
+// or a fault model — so every SingleSet cell of a grid that shares
+// those three fields shares one computation. Every other method keeps
+// its full spec. Two cells share a computation exactly when their
+// computations have the same Key.
+func (c CellSpec) computation() CellSpec {
+	if c.Method == "SingleSet" {
+		return CellSpec{Dataset: c.Dataset, Method: c.Method, Seed: c.Seed}
+	}
+	return c
 }
 
 // ParseCellKey inverts CellSpec.Key: 7 fields for a benign spec, 10 for
@@ -142,6 +158,19 @@ func artifactOf(spec CellSpec, r *fl.Result) *CellArtifact {
 		AccRounds: append([]int(nil), r.AccRounds...),
 		LossMean:  r.ClientLossMeans(),
 		LossVar:   r.ClientLossVars(),
+	}
+}
+
+// as returns a copy of a's payload under another cell's spec — how a
+// cell that shares a's computation (CellSpec.computation) gets its own
+// artifact.
+func (a *CellArtifact) as(spec CellSpec) *CellArtifact {
+	return &CellArtifact{
+		Spec:      spec,
+		Accuracy:  slices.Clone(a.Accuracy),
+		AccRounds: slices.Clone(a.AccRounds),
+		LossMean:  slices.Clone(a.LossMean),
+		LossVar:   slices.Clone(a.LossVar),
 	}
 }
 

@@ -14,15 +14,26 @@ import (
 // CellSpec→artifact pipeline as the text renderers.
 
 // Figure5Series returns one SeriesSet per (dataset, partition) panel of
-// Figure 5, keyed "figure5-<dataset>-<partition>".
+// Figure 5, keyed "figure5-<dataset>-<partition>". Like Figure7Series
+// and Figure8Series, it panics on an unknown Scale.Attack or
+// Scale.Merger, which ExportCSV returns as an error.
 func Figure5Series(s Scale, seed uint64) map[string]*metrics.SeriesSet {
-	return figure5Series(s, seed, nil)
+	return must(figure5Series(s, seed, nil))
 }
 
-func figure5Series(s Scale, seed uint64, cache *Cache) map[string]*metrics.SeriesSet {
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func figure5Series(s Scale, seed uint64, cache *Cache) (map[string]*metrics.SeriesSet, error) {
 	st := newStoreCached(s, cache)
 	defer st.close()
-	st.prefetch(figure5Jobs(s, seed))
+	if err := st.prefetch(figure5Jobs(s, seed)); err != nil {
+		return nil, err
+	}
 	out := map[string]*metrics.SeriesSet{}
 	for _, spec := range s.datasets() {
 		if spec.Name == "mnist-sim" {
@@ -41,18 +52,20 @@ func figure5Series(s Scale, seed uint64, cache *Cache) map[string]*metrics.Serie
 			out[fmt.Sprintf("figure5-%s-%s", spec.Name, part)] = ss
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Figure7Series returns the participation-sweep series (x = K).
 func Figure7Series(s Scale, seed uint64) *metrics.SeriesSet {
-	return figure7Series(s, seed, nil)
+	return must(figure7Series(s, seed, nil))
 }
 
-func figure7Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
+func figure7Series(s Scale, seed uint64, cache *Cache) (*metrics.SeriesSet, error) {
 	st := newStoreCached(s, cache)
 	defer st.close()
-	st.prefetch(figure7Jobs(s, seed))
+	if err := st.prefetch(figure7Jobs(s, seed)); err != nil {
+		return nil, err
+	}
 	x := make([]float64, len(s.KSweep))
 	cols := map[string]metrics.Series{}
 	for i, k := range s.KSweep {
@@ -65,18 +78,20 @@ func figure7Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
 	for _, m := range fedMethods {
 		ss.Add(m, cols[m])
 	}
-	return ss
+	return ss, nil
 }
 
 // Figure8Series returns the non-IID-level-sweep series (x = delta).
 func Figure8Series(s Scale, seed uint64) *metrics.SeriesSet {
-	return figure8Series(s, seed, nil)
+	return must(figure8Series(s, seed, nil))
 }
 
-func figure8Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
+func figure8Series(s Scale, seed uint64, cache *Cache) (*metrics.SeriesSet, error) {
 	st := newStoreCached(s, cache)
 	defer st.close()
-	st.prefetch(figure8Jobs(s, seed))
+	if err := st.prefetch(figure8Jobs(s, seed)); err != nil {
+		return nil, err
+	}
 	x := make([]float64, len(s.Deltas))
 	cols := map[string]metrics.Series{}
 	for i, delta := range s.Deltas {
@@ -89,7 +104,7 @@ func figure8Series(s Scale, seed uint64, cache *Cache) *metrics.SeriesSet {
 	for _, m := range fedMethods {
 		ss.Add(m, cols[m])
 	}
-	return ss
+	return ss, nil
 }
 
 // ExportCSV writes the figure series of the given experiment id into
@@ -107,15 +122,19 @@ func ExportCSVCached(id string, s Scale, seed uint64, dir string, cache *Cache) 
 		return nil, fmt.Errorf("experiments: csv dir: %w", err)
 	}
 	sets := map[string]*metrics.SeriesSet{}
+	var err error
 	switch id {
 	case "figure5":
-		sets = figure5Series(s, seed, cache)
+		sets, err = figure5Series(s, seed, cache)
 	case "figure7":
-		sets["figure7"] = figure7Series(s, seed, cache)
+		sets["figure7"], err = figure7Series(s, seed, cache)
 	case "figure8":
-		sets["figure8"] = figure8Series(s, seed, cache)
+		sets["figure8"], err = figure8Series(s, seed, cache)
 	default:
 		return nil, fmt.Errorf("experiments: no CSV export for %q (supported: figure5, figure7, figure8)", id)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var paths []string
 	for name, ss := range sets {

@@ -103,7 +103,7 @@ func RunCached(name string, s Scale, seed uint64, cache *Cache) (string, error) 
 	if e.Mono != nil {
 		return e.Mono(s, seed), nil
 	}
-	return runGrid(e, s, seed, cache), nil
+	return runGrid(e, s, seed, cache)
 }
 
 // runNamed is Run for ids known to exist (the exported per-experiment

@@ -117,7 +117,9 @@ func RunShardCached(name string, s Scale, seed uint64, seeds, index, count int, 
 	}
 	st := newStoreCached(s, cache)
 	defer st.close()
-	st.prefetch(slice)
+	if err := st.prefetch(slice); err != nil {
+		return nil, err
+	}
 	set := NewArtifactSet(name, s, seed, seeds)
 	for _, spec := range slice {
 		set.Add(st.get(spec))
@@ -217,6 +219,8 @@ func RunSeedsCached(name string, s Scale, seed uint64, seeds int, cache *Cache) 
 	}
 	st := newStoreCached(s, cache)
 	defer st.close()
-	st.prefetch(jobs)
+	if err := st.prefetch(jobs); err != nil {
+		return "", err
+	}
 	return e.SeedsRender(s, seed, seeds, st.get), nil
 }

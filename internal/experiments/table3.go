@@ -87,11 +87,14 @@ func BuildTable3(s Scale, seed uint64, get ArtifactGetter) *Table3Result {
 // RunTable3 executes the full Table 3 grid in-process. Independent
 // cells run concurrently on the scale's engine pool (Scale.Workers);
 // each cell is seeded independently, so the rendered table is identical
-// at any width.
+// at any width. It panics on an unknown Scale.Attack or Scale.Merger,
+// which Run returns as an error.
 func RunTable3(s Scale, seed uint64) *Table3Result {
 	st := newStore(s)
 	defer st.close()
-	st.prefetch(table3Jobs(s, seed))
+	if err := st.prefetch(table3Jobs(s, seed)); err != nil {
+		panic(err)
+	}
 	return BuildTable3(s, seed, st.get)
 }
 

@@ -5,30 +5,22 @@
 # CLI.
 set -eux
 
-# gate PKG REGEX [FLAGS...] runs `go test FLAGS -run REGEX PKG`, but
-# first fails if any |-separated name in REGEX is not a test of PKG
-# (per `go test -list`): a renamed or deleted test would otherwise
-# disarm its gate silently, since a -run regex that matches nothing
-# passes.
+# gate PKG REGEX [FLAGS...] runs `go test FLAGS -run REGEX PKG` through
+# scripts/gate.sh, which first fails if any |-separated name in REGEX is
+# not a test of PKG, so a renamed or deleted test cannot disarm its gate.
 gate() {
-	pkg=$1
-	re=$2
-	shift 2
-	listed=$(go test -list "$re" "$pkg")
-	for name in $(echo "$re" | tr '|' ' '); do
-		if ! echo "$listed" | grep -qx "$name"; then
-			echo "verify: gate names $name, which is not a test in $pkg" >&2
-			exit 1
-		fi
-	done
-	go test "$@" -run "$re" "$pkg"
+	sh "$(dirname "$0")/gate.sh" "$@"
 }
 
 go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/engine/... ./internal/fl/...
-gate ./internal/experiments/ 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke' -race
+# Experiments fan-out under -race: the grid runner with nested engine
+# use inside every cell, the cache's concurrent write-backs, and (short
+# mode: f64 only) the computation-sharing soundness test, whose grid
+# store has cells on different lanes reading one synthesized dataset.
+gate ./internal/experiments/ 'TestConcurrentFanOutSmoke|TestCacheConcurrentFanOutSmoke|TestSharedComputationSound' -race -short
 
 # Work-stealing scheduler gate: the engine package under -race with the
 # nested determinism matrix (saturated For/ForWorker at worker counts
