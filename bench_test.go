@@ -755,17 +755,30 @@ func TestEngineBenchJSON(t *testing.T) {
 
 // --- Compute-kernel benchmarks: the blocked GEMM/conv hot path --------
 
-// computeGEMMShapes are the paper-relevant products: a client minibatch
-// through the MNIST CNN's first conv (batch 10 × 8×8 positions), an
-// eval chunk through the VGG stand-in's widest conv, a mid square, and
-// the large square that is the headline blocked-vs-naive comparison.
-// The last entry must remain the largest by flops: the acceptance gate
-// keys on it.
-var computeGEMMShapes = []struct{ M, K, N int }{
-	{640, 9, 8},     // SimpleCNN conv1, one training minibatch
-	{2560, 288, 32}, // VGGMini conv4, one training minibatch
-	{256, 256, 256},
-	{512, 512, 512}, // largest: the gated blocked-vs-naive shape
+// computeGEMMShapes are the paper-relevant products: the batch-10
+// dense-layer products of client training (b = 10 against the 192- and
+// 48-wide layers and the 100-class head, in the orientation each pass
+// runs: NN forward, AT weight gradient, BT input gradient), a client
+// minibatch through the MNIST CNN's first conv (batch 10 × 8×8
+// positions), an eval chunk through the VGG stand-in's widest conv, a
+// mid square, and the large square that is the headline
+// blocked-vs-naive comparison. Op is the orientation of the logical
+// M×K×N product. The last entry must remain the largest by flops: the
+// acceptance gate keys on it.
+var computeGEMMShapes = []struct {
+	M, K, N int
+	Op      string
+}{
+	{10, 192, 48, "NN"},   // forward, batch 10: 8+2 rows
+	{192, 10, 48, "AT"},   // weight gradient, K = batch 10
+	{10, 48, 192, "BT"},   // input gradient
+	{10, 48, 100, "NN"},   // 100-class head: 96+4 columns
+	{48, 10, 100, "AT"},   // head weight gradient
+	{128, 192, 48, "NN"},  // full row tiles, one mcBlock straddle
+	{640, 9, 8, "NN"},     // SimpleCNN conv1, one training minibatch
+	{2560, 288, 32, "NN"}, // VGGMini conv4, one training minibatch
+	{256, 256, 256, "NN"},
+	{512, 512, 512, "NN"}, // largest: the gated blocked-vs-naive shape
 }
 
 // gemmFixture builds deterministic operands for a shape.
@@ -918,9 +931,12 @@ func BenchmarkComputeConvBackward(b *testing.B) {
 // computeBenchDoc is the BENCH_compute.json schema (asserted by
 // TestComputeBenchJSON, like TestEngineBenchJSON for the engine).
 // gemmEntry is one shape's blocked-vs-naive record in
-// BENCH_compute.json.
+// BENCH_compute.json. Op is the product's orientation (NN: dst = a·b,
+// AT: dst = aᵀ·b, BT: dst = a·bᵀ); its naive time is the NN reference
+// loop over the same logical M×K×N product.
 type gemmEntry struct {
 	Shape     string  `json:"shape"`
+	Op        string  `json:"op"`
 	Backend   string  `json:"kernel_backend"`
 	NaiveNs   int64   `json:"naive_ns"`
 	BlockedNs int64   `json:"blocked_ns"`
@@ -1028,11 +1044,31 @@ func TestComputeBenchJSON(t *testing.T) {
 	}
 	for _, sh := range computeGEMMShapes {
 		a, bb, dst := gemmFixture(sh.M, sh.K, sh.N)
-		naiveNs := best(func() { tensor.MatMulNaiveInto(dst, a, bb) })
-		blockedNs := best(func() { tensor.MatMulInto(dst, a, bb) })
+		blocked := func() { tensor.MatMulInto(dst, a, bb) }
+		switch sh.Op {
+		case "AT":
+			at := a.Transpose()
+			blocked = func() { tensor.MatMulATInto(dst, at, bb) }
+		case "BT":
+			bt := bb.Transpose()
+			blocked = func() { tensor.MatMulBTInto(dst, a, bt) }
+		}
+		// Batch-10 products take microseconds: time a run of reps calls
+		// (about 4M multiply-adds) and report the per-call time.
+		reps := max(1, (1<<22)/(sh.M*sh.K*sh.N))
+		perCall := func(f func()) int64 {
+			return best(func() {
+				for r := 0; r < reps; r++ {
+					f()
+				}
+			}) / int64(reps)
+		}
+		naiveNs := perCall(func() { tensor.MatMulNaiveInto(dst, a, bb) })
+		blockedNs := perCall(blocked)
 		flops := 2 * float64(sh.M) * float64(sh.K) * float64(sh.N)
 		entry := gemmEntry{
 			Shape:     fmt.Sprintf("%dx%dx%d", sh.M, sh.K, sh.N),
+			Op:        sh.Op,
 			Backend:   KernelBackend(),
 			NaiveNs:   naiveNs,
 			BlockedNs: blockedNs,

@@ -430,7 +430,7 @@ func (a *Agent) Train() {
 		pred := a.value.ForwardScratch(ts.value, a.fillInput(batch, false, nil), true)
 		ts.mse.Forward(pred, targets)
 		a.value.ZeroGrads()
-		a.value.BackwardScratch(ts.value, ts.mse.Backward())
+		a.value.BackwardParams(ts.value, ts.mse.Backward())
 		a.vopt.Step(a.value)
 		a.value.ZeroGrads()
 
@@ -449,7 +449,7 @@ func (a *Agent) Train() {
 		dRaw := ts.dRaw.shape(n, a.cfg.ActionDim())
 		a.actionBackward(raw, dIn, clamped, dRaw)
 		a.policy.ZeroGrads()
-		a.policy.BackwardScratch(ts.policy, dRaw)
+		a.policy.BackwardParams(ts.policy, dRaw)
 		a.popt.Step(a.policy)
 		a.policy.ZeroGrads()
 		a.value.ZeroGrads() // discard critic grads from the policy pass

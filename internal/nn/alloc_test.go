@@ -1,23 +1,30 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"feddrl/internal/rng"
 	"feddrl/internal/tensor"
 )
 
-// trainStep runs one full optimization step — forward, loss, backward,
-// SGD update — through the arena.
-func trainStep(net *Network, sc *Scratch, ce *CrossEntropy, opt *SGD, x *tensor.Tensor, y []int) {
+// trainStep runs one optimization step — forward, loss, backward, SGD
+// update — through the arena: the parameter-only backward that client
+// training takes, or with full the backward that also returns the input
+// gradient.
+func trainStep(net *Network, sc *Scratch, ce *CrossEntropy, opt *SGD, x *tensor.Tensor, y []int, full bool) {
 	ce.Forward(net.ForwardScratch(sc, x, true), y)
 	net.ZeroGrads()
-	net.BackwardScratch(sc, ce.Backward())
+	if full {
+		net.BackwardScratch(sc, ce.Backward())
+	} else {
+		net.BackwardParams(sc, ce.Backward())
+	}
 	opt.Step(net)
 }
 
 // assertZeroAllocTrainStep warms the arena and asserts that subsequent
-// steps perform zero heap allocations.
+// steps, through both backward passes, perform zero heap allocations.
 func assertZeroAllocTrainStep(t *testing.T, net *Network, in int) {
 	t.Helper()
 	sc := NewScratch()
@@ -34,12 +41,14 @@ func assertZeroAllocTrainStep(t *testing.T, net *Network, in int) {
 		y[i] = r.Intn(2)
 	}
 	// Warm: let every slot and kernel scratch buffer reach steady state.
-	for i := 0; i < 3; i++ {
-		trainStep(net, sc, ce, opt, x, y)
+	step := func() {
+		trainStep(net, sc, ce, opt, x, y, false)
+		trainStep(net, sc, ce, opt, x, y, true)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		trainStep(net, sc, ce, opt, x, y)
-	})
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(10, step)
 	if allocs != 0 {
 		t.Fatalf("warm train step allocates %.1f times per run, want 0", allocs)
 	}
@@ -101,6 +110,65 @@ func TestScratchPathMatchesPlain(t *testing.T) {
 	for i := range pv {
 		if pv[i] != sv[i] {
 			t.Fatalf("param %d diverged: plain %x scratch %x", i, pv[i], sv[i])
+		}
+	}
+}
+
+// TestBackwardParamsMatchesFull pins the parameter-only backward: on a
+// dense MLP and on a Conv2D+pool stack, BackwardParams must accumulate
+// gradients bit-identical to BackwardScratch's over several SGD steps,
+// while its bottom layer never draws its input-gradient buffers (Dense
+// slot 2; Conv2D's dCols and dx, slots 6 and 3) from the arena.
+func TestBackwardParamsMatchesFull(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func() *Network
+		in      int
+		dInSlot []int
+	}{
+		{"mlp", func() *Network { return NewMLP(rng.New(4), 24, []int{32, 16}, 3) }, 24, []int{2}},
+		{"cnn", func() *Network { return NewSimpleCNN(rng.New(5), 1, 8, 8, 3) }, 64, []int{3, 6}},
+	}
+	for _, c := range cases {
+		full, params := c.build(), c.build()
+		scFull, scParams := NewScratch(), NewScratch()
+		ceFull, ceParams := NewCrossEntropy(), NewCrossEntropy()
+		optFull, optParams := NewSGD(0.05), NewSGD(0.05)
+		r := rng.New(11)
+		const batch = 10
+		x := tensor.New(batch, c.in)
+		y := make([]int, batch)
+		for step := 0; step < 4; step++ {
+			for i := range x.Data {
+				x.Data[i] = r.Normal(0, 1)
+			}
+			for i := range y {
+				y[i] = r.Intn(3)
+			}
+			ceFull.Forward(full.ForwardScratch(scFull, x, true), y)
+			full.ZeroGrads()
+			if dx := full.BackwardScratch(scFull, ceFull.Backward()); dx == nil || dx.Rows() != batch || dx.Cols() != c.in {
+				t.Fatalf("%s: full backward returned no input gradient", c.name)
+			}
+			ceParams.Forward(params.ForwardScratch(scParams, x, true), y)
+			params.ZeroGrads()
+			params.BackwardParams(scParams, ceParams.Backward())
+			gf, gp := full.GradVector(), params.GradVector()
+			for i := range gf {
+				if math.Float64bits(gf[i]) != math.Float64bits(gp[i]) {
+					t.Fatalf("%s step %d: grad %d = %x, full backward %x", c.name, step, i, gp[i], gf[i])
+				}
+			}
+			optFull.Step(full)
+			optParams.Step(params)
+		}
+		for _, slot := range c.dInSlot {
+			if _, ok := scParams.slots[scratchKey{layer: 0, slot: slot}]; ok {
+				t.Fatalf("%s: BackwardParams drew the bottom layer's input-gradient slot %d", c.name, slot)
+			}
+			if _, ok := scFull.slots[scratchKey{layer: 0, slot: slot}]; !ok {
+				t.Fatalf("%s: full backward never drew slot %d; the check above is vacuous", c.name, slot)
+			}
 		}
 	}
 }

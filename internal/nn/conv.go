@@ -100,6 +100,13 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // batch at once: dW += colsᵀ·dRes and dCols = dRes·Wᵀ, with dRes the
 // (batch·ohw, OutC) transposition of the incoming CHW gradient.
 func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(sc, id, grad, true)
+}
+
+// backward accumulates dW and dB and, when needIn is set, returns the
+// input gradient (nil otherwise, skipping the dCols product and its
+// col2im scatter: Network.BackwardParams).
+func (c *Conv2D) backward(sc *Scratch, id int, grad *tensor.Tensor, needIn bool) *tensor.Tensor {
 	if c.lastRows == 0 {
 		panic("nn: Conv2D.Backward before Forward")
 	}
@@ -109,10 +116,8 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tens
 	batch := grad.Rows()
 	ohw := c.Geom.OutH() * c.Geom.OutW()
 	patch := c.Geom.InC * c.Geom.K * c.Geom.K
-	dx := sc.tensor2D(id, 3, batch, c.InLen())
 	dRes := sc.tensor2D(id, 4, batch*ohw, c.OutC)
 	dWtmp := sc.tensor2D(id, 5, patch, c.OutC)
-	dCols := sc.tensor2D(id, 6, batch*ohw, patch)
 	for i := 0; i < batch; i++ {
 		gRow := grad.Row(i)
 		for p := 0; p < ohw; p++ {
@@ -132,8 +137,13 @@ func (c *Conv2D) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tens
 			c.dB.Data[ch] += v
 		}
 	}
+	if !needIn {
+		return nil
+	}
 	// dCols = dRes · Wᵀ, then scatter every sample back to its image.
+	dCols := sc.tensor2D(id, 6, batch*ohw, patch)
 	tensor.MatMulBTInto(dCols, dRes, c.W)
+	dx := sc.tensor2D(id, 3, batch, c.InLen())
 	dx.Zero()
 	tensor.Col2ImBatch(c.Geom, dCols, dx)
 	return dx

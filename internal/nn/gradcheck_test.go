@@ -125,8 +125,9 @@ func TestGradCheckConvPoolStack(t *testing.T) {
 
 func TestGradCheckInputGradient(t *testing.T) {
 	// The gradient returned by Network.Backward w.r.t. the input must
-	// also match finite differences (needed nowhere downstream but a
-	// strong correctness signal for chained Backwards).
+	// also match finite differences: the DRL agent's actor update reads
+	// it (∇ₐQ), and it is a strong correctness signal for chained
+	// Backwards. BackwardParams, which training takes, skips it.
 	r := rng.New(6)
 	n := NewNetwork(NewDense(r, 3, 4), NewTanh(), NewDense(r, 4, 2))
 	x := randInput(r, 2, 3)

@@ -96,6 +96,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardScratch is Backward with arena-backed temporaries.
 func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tensor.Tensor {
+	return d.backward(sc, id, grad, true)
+}
+
+// backward accumulates dW and dB and, when needIn is set, returns
+// dx = g·Wᵀ (nil otherwise: Network.BackwardParams).
+func (d *Dense) backward(sc *Scratch, id int, grad *tensor.Tensor, needIn bool) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -107,6 +113,9 @@ func (d *Dense) BackwardScratch(sc *Scratch, id int, grad *tensor.Tensor) *tenso
 	d.dW.AddInPlace(dW)
 	for i := 0; i < grad.Rows(); i++ {
 		tensor.Add(grad.Row(i), d.dB.Data)
+	}
+	if !needIn {
+		return nil
 	}
 	dx := sc.tensor2D(id, 2, grad.Rows(), d.In)
 	tensor.MatMulBTInto(dx, grad, d.W)

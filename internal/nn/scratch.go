@@ -70,14 +70,43 @@ func (n *Network) ForwardScratch(sc *Scratch, x *tensor.Tensor, train bool) *ten
 }
 
 // BackwardScratch runs all layers in reverse, drawing gradient buffers
-// from the arena.
+// from the arena, and returns the input gradient.
 func (n *Network) BackwardScratch(sc *Scratch, grad *tensor.Tensor) *tensor.Tensor {
+	return n.backward(sc, grad, true)
+}
+
+// BackwardParams is BackwardScratch for callers that read only the
+// parameter gradients, as every optimizer step does: the bottom layer
+// accumulates its parameter gradients but skips its input gradient —
+// Dense's g·Wᵀ product, Conv2D's dCols product and col2im scatter —
+// which nothing reads. No parameter gradient depends on the skipped
+// work, so every gradient is bit-identical to BackwardScratch's.
+func (n *Network) BackwardParams(sc *Scratch, grad *tensor.Tensor) {
+	n.backward(sc, grad, false)
+}
+
+// inputGradSkipper is implemented by the parameterized layers (Dense,
+// Conv2D) whose backward can skip the input gradient.
+type inputGradSkipper interface {
+	backward(sc *Scratch, id int, grad *tensor.Tensor, needIn bool) *tensor.Tensor
+}
+
+// backward runs the layers in reverse; without needIn the bottom layer
+// skips its input gradient when it can, and nil is returned.
+func (n *Network) backward(sc *Scratch, grad *tensor.Tensor, needIn bool) *tensor.Tensor {
 	for i := len(n.layers) - 1; i >= 0; i-- {
+		if l, ok := n.layers[i].(inputGradSkipper); ok && i == 0 && !needIn {
+			l.backward(sc, i, grad, false)
+			return nil
+		}
 		if sl, ok := n.layers[i].(ScratchLayer); ok {
 			grad = sl.BackwardScratch(sc, i, grad)
 		} else {
 			grad = n.layers[i].Backward(grad)
 		}
+	}
+	if !needIn {
+		return nil
 	}
 	return grad
 }

@@ -30,6 +30,38 @@ var ErrBadMagic = errors.New("serialize: bad magic (not a feddrl checkpoint)")
 // maxLen guards length prefixes against corrupt or hostile streams.
 const maxLen = 1 << 30
 
+// readChunk bounds what a length prefix alone can make the readers
+// allocate: payloads longer than readChunk bytes are read in pieces, so
+// memory follows the bytes that actually arrive (see readPayload).
+const readChunk = 1 << 16
+
+// readPayload reads the n-byte payload of a length-prefixed field into
+// a buffer that starts at min(n, readChunk) bytes and doubles only once
+// it is full, so a payload of at most readChunk bytes takes one
+// allocation and one read. A forged prefix on a short stream therefore
+// fails after allocating at most twice the bytes the stream held, or the
+// first min(n, readChunk) if that is more, not the length the prefix
+// claimed.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a short read
+		}
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+got]
+	}
+	return buf, nil
+}
+
 // WriteVector writes a float64 vector with a length prefix.
 func WriteVector(w io.Writer, v []float64) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(v))); err != nil {
@@ -54,8 +86,8 @@ func ReadVector(r io.Reader) ([]float64, error) {
 	if n > maxLen/8 {
 		return nil, fmt.Errorf("serialize: vector length %d exceeds limit", n)
 	}
-	buf := make([]byte, 8*int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, 8*int(n))
+	if err != nil {
 		return nil, fmt.Errorf("serialize: vector payload: %w", err)
 	}
 	out := make([]float64, n)
@@ -90,8 +122,8 @@ func ReadVector32(r io.Reader) ([]float32, error) {
 	if n > maxLen/4 {
 		return nil, fmt.Errorf("serialize: vector32 length %d exceeds limit", n)
 	}
-	buf := make([]byte, 4*int(n))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, 4*int(n))
+	if err != nil {
 		return nil, fmt.Errorf("serialize: vector32 payload: %w", err)
 	}
 	out := make([]float32, n)
@@ -121,8 +153,8 @@ func ReadString(r io.Reader) (string, error) {
 	if n > maxLen {
 		return "", fmt.Errorf("serialize: string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readPayload(r, int(n))
+	if err != nil {
 		return "", fmt.Errorf("serialize: string payload: %w", err)
 	}
 	return string(buf), nil

@@ -2,10 +2,15 @@ package serialize
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +209,68 @@ func TestSaveFileToBadPath(t *testing.T) {
 	c := NewCheckpoint()
 	if err := c.SaveFile(string(os.PathSeparator) + "nonexistent-dir-xyz/ckpt.bin"); err == nil {
 		t.Fatal("bad path did not error")
+	}
+}
+
+// TestForgedLengthPrefixBoundedAlloc feeds each length-prefixed reader a
+// prefix claiming 2^27 elements (1 GiB of float64s, the largest the
+// limit admits) followed by only 12 payload bytes. Each must fail, and
+// must allocate about what the stream held rather than what the prefix
+// claimed: less than 1 MiB in total.
+func TestForgedLengthPrefixBoundedAlloc(t *testing.T) {
+	forged := make([]byte, 16)
+	binary.LittleEndian.PutUint32(forged, 1<<27)
+	readers := map[string]func(io.Reader) error{
+		"ReadVector":   func(r io.Reader) error { _, err := ReadVector(r); return err },
+		"ReadVector32": func(r io.Reader) error { _, err := ReadVector32(r); return err },
+		"ReadString":   func(r io.Reader) error { _, err := ReadString(r); return err },
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(bytes.NewReader(forged))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want a truncated-payload error", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: forged prefix allocated %d bytes, want < 1 MiB", name, alloc)
+		}
+	}
+}
+
+// TestChunkedPayloadRoundTrip round-trips payloads on both sides of the
+// one-allocation bound and across several buffer doublings.
+func TestChunkedPayloadRoundTrip(t *testing.T) {
+	for _, n := range []int{readChunk / 8, readChunk/8 + 1, 5*readChunk/8 + 3} {
+		v := make([]float64, n)
+		v32 := make([]float32, n)
+		for i := range v {
+			v[i] = float64(i) * 0.5
+			v32[i] = float32(i) * 0.25
+		}
+		s := strings.Repeat("ab", n)
+		var buf bytes.Buffer
+		if err := WriteVector(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteVector32(&buf, v32); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteString(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadVector(&buf)
+		if err != nil || !slices.Equal(got, v) {
+			t.Fatalf("n=%d: ReadVector mismatch (err %v)", n, err)
+		}
+		got32, err := ReadVector32(&buf)
+		if err != nil || !slices.Equal(got32, v32) {
+			t.Fatalf("n=%d: ReadVector32 mismatch (err %v)", n, err)
+		}
+		gotS, err := ReadString(&buf)
+		if err != nil || gotS != s {
+			t.Fatalf("n=%d: ReadString mismatch (err %v)", n, err)
+		}
 	}
 }

@@ -147,6 +147,13 @@ func kernelNR() int {
 	return 4
 }
 
+// kernelInPlace reports whether the active backend's GEMM micro-kernels
+// (both widths) take per-k panel strides, so the blocked GEMM may
+// hand them full tiles read in place from the operands (inPlacePlan in
+// blocked.go). The amd64 vector kernels do; the generic and NEON tiles
+// walk packed panels only.
+func kernelInPlace() bool { return useAVX }
+
 // kernelMR32 and kernelNR32 are the register-tile dimensions of the
 // active GEMM backend's float32 micro-kernel: 8×16 ZMM tiles on avx512,
 // 4×8 YMM tiles on avx, 4×4 otherwise (neon has no f32 kernel and runs

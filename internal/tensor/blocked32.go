@@ -1,13 +1,16 @@
 package tensor
 
-// Blocked GEMM driver for the float32 storage arm. Identical structure
-// to the float64 driver (blocked.go) — same kcBlock/mcBlock cache
-// blocking, the same fixed stripeRows parallel fan-out on the installed
-// Parallel hook, the same packed-panel layout via the shared generic
-// packing routines — with the register-tile geometry of the f32 vector
-// kernels (kernelMR32/kernelNR32 in backend.go): 8×16 ZMM tiles on
-// avx512, 4×8 YMM tiles on avx, 4×4 portable tiles otherwise (the f32
-// arm has no NEON kernel; arm64 uses the generic tiles).
+// Blocked GEMM entry for the float32 storage arm. It runs the float64
+// arm's width-generic loop (gemmBlockedRangeG in blocked.go) — same
+// kcBlock/mcBlock cache blocking, the same fixed stripeRows parallel
+// fan-out on the installed Parallel hook, the same in-place-or-pack
+// rule: op(b) read in place for NN and AT and op(a) for AT at small
+// shapes on the amd64 vector kernels, transposed operands, edge tiles
+// and large products packed by the shared generic packers — with the
+// register-tile geometry of the f32 vector kernels (kernelMR32/
+// kernelNR32 in backend.go): 8×16 ZMM tiles on avx512, 4×8 YMM tiles on
+// avx, 4×4 portable tiles otherwise (the f32 arm has no NEON kernel;
+// arm64 uses the generic tiles, which pack everything).
 //
 // Determinism contract: identical to the float64 arm, at float32
 // precision — every output element accumulates along a single
@@ -15,18 +18,6 @@ package tensor
 // add (VADDPS), never fused, so f32 results are bit-identical across
 // backends, tile geometries and worker counts. The f32 arm never mixes
 // widths: no intermediate is computed in float64.
-
-// gemmDims32 returns the logical (M, K, N) of dst = op(a)·op(b).
-func gemmDims32(a, b *Tensor32, v gemmVariant) (m, k, n int) {
-	switch v {
-	case gemmAT:
-		return a.Cols(), a.Rows(), b.Cols()
-	case gemmBT:
-		return a.Rows(), a.Cols(), b.Rows()
-	default:
-		return a.Rows(), a.Cols(), b.Cols()
-	}
-}
 
 // gemmNaive32 computes the variant with the generic reference loops —
 // the kernel the blocked f32 path must match bit for bit.
@@ -41,7 +32,7 @@ func gemmNaive32(dst, a, b *Tensor32, v gemmVariant) {
 // construction. The volume thresholds are shared with the float64 arm:
 // they gate on arithmetic count, which is width-independent.
 func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
-	m, k, n := gemmDims32(a, b, v)
+	m, k, n := gemmDims(a.Rows(), a.Cols(), b.Rows(), b.Cols(), v)
 	if m*k*n < blockedMinVolume {
 		gemmNaive32(dst, a, b, v)
 		return
@@ -94,60 +85,26 @@ func gemmInto32(dst, a, b *Tensor32, v gemmVariant) {
 // the active backend's f32 register tile; the tail of ap holds the
 // write-back tile of partial edge tiles.
 func gemmBlockedRange32(dst, a, b *Tensor32, v gemmVariant, rs, re int, ap, bp []float32) {
-	_, k, n := gemmDims32(a, b, v)
-	mr, nr := kernelMR32(), kernelNR32()
-	dd := dst.Data
-	wb := ap[len(ap)-edgeMR*edgeNR:]
-	nTiles := (n + nr - 1) / nr
-	for p0 := 0; p0 < k; p0 += kcBlock {
-		kc := k - p0
-		if kc > kcBlock {
-			kc = kcBlock
+	gemmBlockedRangeG(dst.Data, a.Data, a.Rows(), a.Cols(), b.Data, b.Rows(), b.Cols(), v, rs, re, ap, bp, tile32())
+}
+
+// tile32 returns the active backend's float32 register tile; arm64 has
+// no f32 vector kernel and runs the packed generic tile.
+func tile32() tileKernel[float32] {
+	t := tileKernel[float32]{mr: kernelMR32(), nr: kernelNR32(), inPlace: kernelInPlace()}
+	switch {
+	case useAVX512:
+		t.run = func(kc int, ap []float32, lda int, bp []float32, ldb int, c []float32, ldc int, first bool) {
+			micro8x16avx512F32(kc, &ap[0], lda, &bp[0], ldb, &c[0], ldc, first)
 		}
-		packBG(bp, b.Data, b.Rows(), b.Cols(), v, p0, kc, n, nr)
-		first := p0 == 0
-		for i0 := rs; i0 < re; i0 += mcBlock {
-			ib := re - i0
-			if ib > mcBlock {
-				ib = mcBlock
-			}
-			packAG(ap, a.Data, a.Rows(), a.Cols(), v, i0, ib, p0, kc, mr)
-			mTiles := (ib + mr - 1) / mr
-			for it := 0; it < mTiles; it++ {
-				mv := ib - it*mr
-				if mv > mr {
-					mv = mr
-				}
-				apTile := ap[it*kc*mr:]
-				row0 := i0 + it*mr
-				for jt := 0; jt < nTiles; jt++ {
-					nv := n - jt*nr
-					if nv > nr {
-						nv = nr
-					}
-					bpTile := bp[jt*kc*nr:]
-					out := dd[row0*n+jt*nr:]
-					c, ldc := out, n
-					edge := mv < mr || nv < nr
-					if edge {
-						c, ldc = wb, nr
-						if !first {
-							tileLoadG(wb, out, n, mv, nv, nr)
-						}
-					}
-					switch {
-					case useAVX512:
-						micro8x16avx512F32(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
-					case useAVX:
-						micro4x8avxF32(kc, &apTile[0], &bpTile[0], &c[0], ldc, first)
-					default:
-						micro4x4G(kc, apTile, bpTile, c, ldc, first)
-					}
-					if edge {
-						tileStoreG(out, wb, n, mv, nv, nr)
-					}
-				}
-			}
+	case useAVX:
+		t.run = func(kc int, ap []float32, lda int, bp []float32, ldb int, c []float32, ldc int, first bool) {
+			micro4x8avxF32(kc, &ap[0], lda, &bp[0], ldb, &c[0], ldc, first)
+		}
+	default:
+		t.run = func(kc int, ap []float32, _ int, bp []float32, _ int, c []float32, ldc int, first bool) {
+			micro4x4G(kc, ap, bp, c, ldc, first)
 		}
 	}
+	return t
 }

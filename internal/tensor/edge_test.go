@@ -100,7 +100,7 @@ func checkPackPadding[E Elem](t *testing.T, mr, nr int) {
 			}
 		}
 		bp := poisoned(make([]E, bpSize(n, k, nr)))
-		packBG(bp, b, bR, bC, v, 0, k, n, nr)
+		packBG(bp, b, bR, bC, v, 0, k, 0, n, nr)
 		for jt := 0; jt*nr < n; jt++ {
 			for p := 0; p < k; p++ {
 				for c := 0; c < nr; c++ {

@@ -85,17 +85,21 @@ func gemmNaiveG[E Elem](dd, ad []E, aR, aC int, bd []E, bR, bC int, v gemmVarian
 	}
 }
 
-// packBG packs the reduction panel [p0, p0+kc) of op(b) into nr-wide
-// column tiles: bp[tile*kc*nr + p*nr + c] = op(b)[p0+p][tile*nr+c].
-// b is bR×bC physically. The padding columns [nv, nr) of a partial
-// edge tile are zero-filled, so the full-tile micro-kernel can run over
-// it (blocked.go).
-func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
+// packBG packs columns [j0, n) of the reduction panel [p0, p0+kc) of
+// op(b) into nr-wide column tiles, the first at bp[0]:
+// bp[t*kc*nr + p*nr + c] = op(b)[p0+p][j0+t*nr+c]. b is bR×bC
+// physically. The padding columns of a partial edge tile are
+// zero-filled, so the full-tile micro-kernel can run over it
+// (blocked.go). j0 is a multiple of nr: the column tiles before it are
+// read in place.
+func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, j0, n, nr int) {
+	if j0 >= n {
+		return
+	}
 	if v == gemmBT {
 		// op(b)[p][j] = b[j][p]; b is n×k, rows contiguous in p.
-		for jt := 0; jt*nr < n; jt++ {
-			j0 := jt * nr
-			packTransposedG(bp[jt*kc*nr:(jt+1)*kc*nr], bd[j0*bC+p0:], bC, min(n-j0, nr), kc, nr)
+		for jt, j := 0, j0; j < n; jt, j = jt+1, j+nr {
+			packTransposedG(bp[jt*kc*nr:(jt+1)*kc*nr], bd[j*bC+p0:], bC, min(n-j, nr), kc, nr)
 		}
 		return
 	}
@@ -103,9 +107,9 @@ func packBG[E Elem](bp, bd []E, bR, bC int, v gemmVariant, p0, kc, n, nr int) {
 	// panel once, scattering it across the column tiles.
 	for p := 0; p < kc; p++ {
 		row := bd[(p0+p)*n : (p0+p+1)*n]
-		for jt, j0 := 0, 0; j0 < n; jt, j0 = jt+1, j0+nr {
+		for jt, j := 0, j0; j < n; jt, j = jt+1, j+nr {
 			off := jt*kc*nr + p*nr
-			copyTileRowG(bp[off:off+nr], row[j0:min(j0+nr, n)])
+			copyTileRowG(bp[off:off+nr], row[j:min(j+nr, n)])
 		}
 	}
 }

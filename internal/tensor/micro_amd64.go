@@ -19,17 +19,23 @@ func detectBackends() (avx512, avx, neon bool) {
 	return avx512, avx, false
 }
 
+// The GEMM micro-kernels take one per-k stride per operand panel: step p
+// reads the tile's A values at ap[p*lda:] and its B vector at
+// bp[p*ldb:]. A packed panel is the case lda = mr, ldb = nr; a tile read
+// in place from a row-major operand passes that operand's row length
+// (blocked.go decides which).
+
 // micro4x4avx is the AVX implementation of the full-tile micro-kernel.
-// It is bit-identical to micro4x4: each lane multiplies then adds with
+// It is bit-identical to micro4x4G: each lane multiplies then adds with
 // one rounding per operation, never fusing. Implemented in
 // micro_amd64.s.
-func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool)
+func micro4x4avx(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool)
 
 // micro8x8avx512 is the AVX-512 full-tile micro-kernel: one 8×8 output
-// tile held in eight ZMM accumulators across the packed panel, VMULPD +
-// VADDPD per row (never fused), bit-identical to an 8×8 walk of the
-// scalar kernel. Implemented in micro_amd64.s.
-func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool)
+// tile held in eight ZMM accumulators across the panel, VMULPD + VADDPD
+// per row (never fused), bit-identical to an 8×8 walk of the scalar
+// kernel. Implemented in micro_amd64.s.
+func micro8x8avx512(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool)
 
 // Elementwise vector bodies (micro_amd64.s). Each processes exactly n
 // elements where the Go wrapper in elemwise.go guarantees n is a
@@ -56,13 +62,13 @@ func leakyBwdAVX(alpha float64, x, grad, out *float64, n int)
 // every tier is bit-identical to the generic float32 core.
 
 // micro4x8avxF32 computes one full 4×8 float32 output tile over a
-// kc-long packed panel: four rows in four YMM accumulators (8 floats
-// each), one broadcast per packed A value against the packed B vector.
-func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool)
+// kc-long panel: four rows in four YMM accumulators (8 floats each), one
+// broadcast per A value against the step's B vector.
+func micro4x8avxF32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool)
 
 // micro8x16avx512F32 computes one full 8×16 float32 output tile: eight
 // rows in eight ZMM accumulators (16 floats each).
-func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool)
+func micro8x16avx512F32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool)
 
 // Float32 elementwise vector bodies. n is a positive multiple of the
 // lane width (8 for AVX YMM, 16 for AVX-512 ZMM); wrappers in

@@ -1,5 +1,5 @@
 // AVX micro-kernel for the blocked GEMM (see blocked.go). The kernel
-// computes one full 4x4 output tile over a packed kc-long panel using
+// computes one full 4x4 output tile over a kc-long panel using
 // VMULPD + VADDPD per lane — multiply-round-then-add-round, exactly the
 // scalar semantics of the pure-Go kernels, so the vector path is
 // bit-identical to them (no FMA: a fused multiply-add rounds once and
@@ -29,21 +29,27 @@ noavx:
 	MOVB	$0, ret+0(FP)
 	RET
 
-// func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool)
+// func micro4x4avx(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool)
 //
 // Y0..Y3 hold the four output rows (4 doubles each) for the whole
-// panel; each k step broadcasts the four packed A values and issues one
-// mul+add pair per row against the packed B vector. first selects
-// zero-init (panel 0) versus accumulate-on-top of C.
-TEXT ·micro4x4avx(SB), NOSPLIT, $0-41
+// panel; each k step broadcasts the four A values of the step and
+// issues one mul+add pair per row against the step's B vector. lda and
+// ldb are the per-k strides of the A and B panels in elements (mr and nr
+// for packed panels, the operand's row length when read in place).
+// first selects zero-init (panel 0) versus accumulate-on-top of C.
+TEXT ·micro4x4avx(SB), NOSPLIT, $0-57
 	MOVQ	kc+0(FP), CX
 	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	lda+16(FP), R10
+	SHLQ	$3, R10             // lda in bytes
+	MOVQ	bp+24(FP), DI
+	MOVQ	ldb+32(FP), R11
+	SHLQ	$3, R11             // ldb in bytes
+	MOVQ	c+40(FP), DX
+	MOVQ	ldc+48(FP), R8
 	SHLQ	$3, R8              // ldc in bytes
 	LEAQ	(DX)(R8*2), R9      // &c[2*ldc]
-	MOVBLZX	first+40(FP), AX
+	MOVBLZX	first+56(FP), AX
 	TESTB	AL, AL
 	JZ	load
 	VXORPD	Y0, Y0, Y0
@@ -72,8 +78,8 @@ kloop:
 	VADDPD	Y7, Y2, Y2
 	VMULPD	Y4, Y8, Y8
 	VADDPD	Y8, Y3, Y3
-	ADDQ	$32, SI
-	ADDQ	$32, DI
+	ADDQ	R10, SI
+	ADDQ	R11, DI
 	DECQ	CX
 	JMP	kloop
 done:
@@ -112,24 +118,30 @@ no512:
 	MOVB	$0, ret+0(FP)
 	RET
 
-// func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool)
+// func micro8x8avx512(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool)
 //
 // Z0..Z7 hold the eight output rows (8 doubles each) for the whole
-// panel; each k step broadcasts the eight packed A values and issues one
-// VMULPD+VADDPD pair per row against the packed B vector — multiply-
-// round-then-add-round, never fused, so the tile is bit-identical to an
-// 8×8 walk of the scalar kernel. Zeroing uses VEX VXORPD (clears the
-// full ZMM) so only AVX512F encodings are required.
-TEXT ·micro8x8avx512(SB), NOSPLIT, $0-41
+// panel; each k step broadcasts the eight A values of the step and
+// issues one VMULPD+VADDPD pair per row against the step's B vector —
+// multiply-round-then-add-round, never fused, so the tile is
+// bit-identical to an 8×8 walk of the scalar kernel. lda and ldb are the
+// per-k strides of the A and B panels in elements (8 for packed panels,
+// the operand's row length when read in place). Zeroing uses VEX VXORPD
+// (clears the full ZMM) so only AVX512F encodings are required.
+TEXT ·micro8x8avx512(SB), NOSPLIT, $0-57
 	MOVQ	kc+0(FP), CX
 	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	lda+16(FP), R11
+	SHLQ	$3, R11             // lda in bytes
+	MOVQ	bp+24(FP), DI
+	MOVQ	ldb+32(FP), R12
+	SHLQ	$3, R12             // ldb in bytes
+	MOVQ	c+40(FP), DX
+	MOVQ	ldc+48(FP), R8
 	SHLQ	$3, R8              // ldc in bytes
 	LEAQ	(R8)(R8*2), R10     // 3*ldc bytes
 	LEAQ	(DX)(R8*4), R9      // &c[4*ldc]
-	MOVBLZX	first+40(FP), AX
+	MOVBLZX	first+56(FP), AX
 	TESTB	AL, AL
 	JZ	load8
 	VXORPD	Y0, Y0, Y0
@@ -152,8 +164,8 @@ load8:
 	VMOVUPD	(R9)(R10*1), Z7
 	// k loop unrolled ×2 (same ascending-k operation order, so results
 	// are unchanged); odd kc finishes with a single step. The second
-	// step uses its own temporaries (Z17..Z25) so the two halves can
-	// issue independently.
+	// step reads one stride further on and uses its own temporaries
+	// (Z17..Z25) so the two halves can issue independently.
 kloop8:
 	CMPQ	CX, $2
 	JLT	ktail8
@@ -182,15 +194,15 @@ kloop8:
 	VADDPD	Z15, Z6, Z6
 	VMULPD	Z8, Z16, Z16
 	VADDPD	Z16, Z7, Z7
-	VMOVUPD	64(DI), Z17
-	VBROADCASTSD	64(SI), Z18
-	VBROADCASTSD	72(SI), Z19
-	VBROADCASTSD	80(SI), Z20
-	VBROADCASTSD	88(SI), Z21
-	VBROADCASTSD	96(SI), Z22
-	VBROADCASTSD	104(SI), Z23
-	VBROADCASTSD	112(SI), Z24
-	VBROADCASTSD	120(SI), Z25
+	VMOVUPD	(DI)(R12*1), Z17
+	VBROADCASTSD	(SI)(R11*1), Z18
+	VBROADCASTSD	8(SI)(R11*1), Z19
+	VBROADCASTSD	16(SI)(R11*1), Z20
+	VBROADCASTSD	24(SI)(R11*1), Z21
+	VBROADCASTSD	32(SI)(R11*1), Z22
+	VBROADCASTSD	40(SI)(R11*1), Z23
+	VBROADCASTSD	48(SI)(R11*1), Z24
+	VBROADCASTSD	56(SI)(R11*1), Z25
 	VMULPD	Z17, Z18, Z18
 	VADDPD	Z18, Z0, Z0
 	VMULPD	Z17, Z19, Z19
@@ -207,8 +219,8 @@ kloop8:
 	VADDPD	Z24, Z6, Z6
 	VMULPD	Z17, Z25, Z25
 	VADDPD	Z25, Z7, Z7
-	ADDQ	$128, SI
-	ADDQ	$128, DI
+	LEAQ	(SI)(R11*2), SI
+	LEAQ	(DI)(R12*2), DI
 	SUBQ	$2, CX
 	JMP	kloop8
 ktail8:
@@ -459,21 +471,26 @@ lbloop:
 // bytes per element; the YMM kernels step 8 floats (32 bytes) and the
 // ZMM kernels 16 floats (64 bytes) per vector op.
 
-// func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool)
+// func micro4x8avxF32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool)
 //
 // Y0..Y3 hold the four output rows (8 floats each) for the whole panel;
-// each k step broadcasts the four packed A values and issues one
-// mul+add pair per row against the packed B vector. first selects
+// each k step broadcasts the four A values of the step and issues one
+// mul+add pair per row against the step's B vector. lda and ldb are the
+// per-k panel strides in elements (4 and 8 when packed). first selects
 // zero-init (panel 0) versus accumulate-on-top of C.
-TEXT ·micro4x8avxF32(SB), NOSPLIT, $0-41
+TEXT ·micro4x8avxF32(SB), NOSPLIT, $0-57
 	MOVQ	kc+0(FP), CX
 	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	lda+16(FP), R10
+	SHLQ	$2, R10             // lda in bytes
+	MOVQ	bp+24(FP), DI
+	MOVQ	ldb+32(FP), R11
+	SHLQ	$2, R11             // ldb in bytes
+	MOVQ	c+40(FP), DX
+	MOVQ	ldc+48(FP), R8
 	SHLQ	$2, R8              // ldc in bytes (4 per float32)
 	LEAQ	(DX)(R8*2), R9      // &c[2*ldc]
-	MOVBLZX	first+40(FP), AX
+	MOVBLZX	first+56(FP), AX
 	TESTB	AL, AL
 	JZ	load32
 	VXORPS	Y0, Y0, Y0
@@ -502,8 +519,8 @@ kloop32:
 	VADDPS	Y7, Y2, Y2
 	VMULPS	Y4, Y8, Y8
 	VADDPS	Y8, Y3, Y3
-	ADDQ	$16, SI             // 4 packed A floats
-	ADDQ	$32, DI             // 8 packed B floats
+	ADDQ	R10, SI
+	ADDQ	R11, DI
 	DECQ	CX
 	JMP	kloop32
 done32:
@@ -514,23 +531,28 @@ done32:
 	VZEROUPPER
 	RET
 
-// func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool)
+// func micro8x16avx512F32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool)
 //
 // Z0..Z7 hold the eight output rows (16 floats each) for the whole
-// panel; each k step broadcasts the eight packed A values and issues
-// one VMULPS+VADDPS pair per row against the packed B vector. Zeroing
-// uses VEX VXORPS (clears the full ZMM) so only AVX512F encodings are
-// required.
-TEXT ·micro8x16avx512F32(SB), NOSPLIT, $0-41
+// panel; each k step broadcasts the eight A values of the step and
+// issues one VMULPS+VADDPS pair per row against the step's B vector.
+// lda and ldb are the per-k panel strides in elements (8 and 16 when
+// packed). Zeroing uses VEX VXORPS (clears the full ZMM) so only
+// AVX512F encodings are required.
+TEXT ·micro8x16avx512F32(SB), NOSPLIT, $0-57
 	MOVQ	kc+0(FP), CX
 	MOVQ	ap+8(FP), SI
-	MOVQ	bp+16(FP), DI
-	MOVQ	c+24(FP), DX
-	MOVQ	ldc+32(FP), R8
+	MOVQ	lda+16(FP), R11
+	SHLQ	$2, R11             // lda in bytes
+	MOVQ	bp+24(FP), DI
+	MOVQ	ldb+32(FP), R12
+	SHLQ	$2, R12             // ldb in bytes
+	MOVQ	c+40(FP), DX
+	MOVQ	ldc+48(FP), R8
 	SHLQ	$2, R8              // ldc in bytes
 	LEAQ	(R8)(R8*2), R10     // 3*ldc bytes
 	LEAQ	(DX)(R8*4), R9      // &c[4*ldc]
-	MOVBLZX	first+40(FP), AX
+	MOVBLZX	first+56(FP), AX
 	TESTB	AL, AL
 	JZ	load16
 	VXORPS	Y0, Y0, Y0
@@ -579,8 +601,8 @@ kloop16:
 	VADDPS	Z15, Z6, Z6
 	VMULPS	Z8, Z16, Z16
 	VADDPS	Z16, Z7, Z7
-	ADDQ	$32, SI             // 8 packed A floats
-	ADDQ	$64, DI             // 16 packed B floats
+	ADDQ	R11, SI
+	ADDQ	R12, DI
 	DECQ	CX
 	JMP	kloop16
 done16:

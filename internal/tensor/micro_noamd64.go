@@ -4,11 +4,11 @@ package tensor
 
 // amd64 vector kernels are never called when useAVX512/useAVX are false.
 
-func micro4x4avx(kc int, ap, bp, c *float64, ldc int, first bool) {
+func micro4x4avx(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool) {
 	panic("tensor: AVX micro-kernel called on non-amd64")
 }
 
-func micro8x8avx512(kc int, ap, bp, c *float64, ldc int, first bool) {
+func micro8x8avx512(kc int, ap *float64, lda int, bp *float64, ldb int, c *float64, ldc int, first bool) {
 	panic("tensor: AVX-512 micro-kernel called on non-amd64")
 }
 
@@ -52,11 +52,11 @@ func leakyBwdAVX(alpha float64, x, grad, out *float64, n int) {
 	panic("tensor: AVX kernel called on non-amd64")
 }
 
-func micro4x8avxF32(kc int, ap, bp, c *float32, ldc int, first bool) {
+func micro4x8avxF32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool) {
 	panic("tensor: AVX f32 micro-kernel called on non-amd64")
 }
 
-func micro8x16avx512F32(kc int, ap, bp, c *float32, ldc int, first bool) {
+func micro8x16avx512F32(kc int, ap *float32, lda int, bp *float32, ldb int, c *float32, ldc int, first bool) {
 	panic("tensor: AVX-512 f32 micro-kernel called on non-amd64")
 }
 

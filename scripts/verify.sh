@@ -77,12 +77,33 @@ gate ./internal/experiments/ 'TestBenignOutputsUnchangedByRefactor|TestByzantine
 # be BIT-identical to the naive reference loops, on NaN-poisoned
 # packing scratch and over the paper's edge-heavy shapes; the packers
 # must zero-fill the padding of partial edge tiles, and a non-finite
-# value in one row/column must reach only that row/column of C. Same
+# value in one row/column must reach only that row/column of C. Tiles
+# read in place from the operands (both widths) must match too, on
+# NaN-fenced operand views whose capacity is also clipped to their
+# length, over shapes on both sides of the in-place rule. Same
 # bit-identity for the SIMD elementwise kernels, and warm GEMMs (incl.
 # a batch-10 edge-heavy product) and a warm arena-backed train step
-# (dense and conv stacks) must perform zero heap allocations.
-gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestBackendsChain'
-gate ./internal/nn/ 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain'
+# (dense and conv stacks, full and parameter-only backward) must
+# perform zero heap allocations; the parameter-only backward must give
+# the full backward's gradients bit for bit.
+gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestParallelStripesBitIdentical|TestKernelScratchReuse|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestBackendsChain|TestInPlaceOperandsFenced|TestInPlaceOperandsFenced32'
+gate ./internal/nn/ 'TestTrainStepAllocsDense|TestTrainStepAllocsConv|TestScratchPathMatchesPlain|TestBackwardParamsMatchesFull'
+
+# The 4-wide avx tiles move the in-place rule's boundary (batch 10 is
+# three row tiles there, two on avx512): run the in-place gate with
+# avx forced as the widest tier, on hosts that have it.
+if [ "$(go env GOARCH)" = amd64 ] && grep -qw avx /proc/cpuinfo 2>/dev/null; then
+	export TENSOR_BACKEND=avx
+	gate ./internal/tensor/ 'TestBackendHonorsEnv|TestInPlaceOperandsFenced|TestInPlaceOperandsFenced32|TestBlockedBitIdentity'
+	unset TENSOR_BACKEND
+else
+	echo "verify: host has no AVX; skipping the TENSOR_BACKEND=avx in-place gate" >&2
+fi
+
+# The kernel glue is per GOARCH and the NEON tile cannot run here: vet
+# the arm64 build of the tensor package (asm frame/argument checks
+# included) so a kernel signature change cannot break it unseen.
+GOARCH=arm64 go vet ./internal/tensor/
 
 # DRL agent gates: a warm Agent.Train step on its scratch arenas makes
 # zero heap allocations, and the batched TD reprioritize reproduces the
@@ -94,7 +115,7 @@ gate ./internal/core/ 'TestAgentTrainAllocs|TestReprioritizeBatchedMatchesPerExp
 # pure-Go kernels stand alone (and that the override is honored end to
 # end).
 export TENSOR_BACKEND=generic
-gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv'
+gate ./internal/tensor/ 'TestBlockedBitIdentity|TestPackPadsEdgeTiles|TestBlockedEdgeNonFiniteConfined|TestEdgeGEMMAllocs|TestElemwiseBitIdentity|TestParallelStripesBitIdentical|TestBackendHonorsEnv|TestInPlaceOperandsFenced|TestInPlaceOperandsFenced32'
 unset TENSOR_BACKEND
 
 # Float32 kernel gates: the f32 GEMM/elemwise kernels must be
