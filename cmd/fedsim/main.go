@@ -2,6 +2,10 @@
 // a dataset, a non-IID partition, a method, and federation sizes. It
 // prints the per-round accuracy timeline and a summary.
 //
+// The cell runs through the same path as every table cell
+// (feddrl.RunCell), so -seed s is derived like a grid cell's seed: data
+// synthesis s, run s+1, partition s+2, DRL agent s+3, client pool s+4.
+//
 // Example:
 //
 //	fedsim -dataset mnist -partition CE -method FedDRL -clients 10 -k 10 -rounds 30 -workers 4
@@ -12,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -33,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dsName := fs.String("dataset", "mnist", "dataset: mnist, fashion or cifar100")
 	partName := fs.String("partition", "CE", "partition: PA, CE, CN, Equal or Non-equal")
-	method := fs.String("method", "FedDRL", "method: SingleSet, FedAvg, FedProx or FedDRL")
+	method := fs.String("method", "FedDRL", "method: SingleSet, FedAvg, FedProx or FedDRL, optionally with one variant suffix: +async or +stale (asynchronous rounds), or for FedDRL +plain, +nogap, +rawstate or +twostage (the ablations' agent variants)")
 	clients := fs.Int("clients", 10, "number of clients N")
 	k := fs.Int("k", 10, "participating clients per round K")
 	rounds := fs.Int("rounds", 20, "communication rounds")
@@ -56,8 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Out-of-range sizes would otherwise panic deep inside the run, so
-	// they are rejected before anything is built.
+	// Out-of-range sizes and rates would otherwise panic deep inside the
+	// run, so they are rejected before anything is built.
 	clustered := *partName == "CE" || *partName == "CN"
 	for _, c := range []struct {
 		bad bool
@@ -68,6 +73,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*rounds < 1, fmt.Sprintf("-rounds must be at least 1, got %d", *rounds)},
 		{*epochs < 1, fmt.Sprintf("-epochs must be at least 1, got %d", *epochs)},
 		{!(*lr > 0), fmt.Sprintf("-lr must be positive, got %v", *lr)},
+		{!(*dataScale > 0) || math.IsInf(*dataScale, 1), fmt.Sprintf("-datascale must be positive and finite, got %v", *dataScale)},
+		{!(*exploreStd >= 0) || math.IsInf(*exploreStd, 1), fmt.Sprintf("-explorestd must be non-negative and finite, got %v", *exploreStd)},
+		{!(*exploreDecay > 0 && *exploreDecay <= 1), fmt.Sprintf("-exploredecay must be in (0, 1], got %v", *exploreDecay)},
 		{clustered && *clients < clusterGroups, fmt.Sprintf("-partition %s needs at least %d clients, got %d", *partName, clusterGroups, *clients)},
 		{clustered && !(*delta > 0 && *delta < 1), fmt.Sprintf("-delta must be in (0, 1), got %v", *delta)},
 	} {
@@ -77,113 +85,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	prec, err := feddrl.ParsePrecision(*precName)
+	// The cell runs on the experiments' shared cell path with the
+	// medium scale's solver and agent sizing, overridden by the flags.
+	// SmallN 0 keeps -k below -clients honoured (the grids give their
+	// small federations full participation).
+	s := feddrl.MediumScale()
+	s.DataScale = *dataScale
+	s.Rounds = *rounds
+	s.Epochs = *epochs
+	s.LR = *lr
+	s.DRLExploreStd = *exploreStd
+	s.DRLExploreDecay = *exploreDecay
+	s.Workers = *workers
+	if *workers < 0 {
+		s.Workers = runtime.GOMAXPROCS(0)
+	}
+	s.Precision = *precName
+	s.Attack, s.AttackFrac, s.Merger = *attackName, *attackFrac, *mergerName
+	s.EvalEvery = 1
+	s.SmallN = 0
+	res, err := feddrl.RunCell(s, feddrl.ExperimentCellSpec{
+		Dataset: *dsName, Partition: *partName, Method: *method,
+		N: *clients, K: *k, Delta: *delta, Seed: *seed,
+	})
 	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return 2
-	}
-	attack, err := feddrl.ParseAttack(*attackName, *attackFrac)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	var spec feddrl.DataSpec
-	switch *dsName {
-	case "mnist":
-		spec = feddrl.MNISTSim()
-	case "fashion":
-		spec = feddrl.FashionSim()
-	case "cifar100":
-		spec = feddrl.CIFAR100Sim()
-	default:
-		fmt.Fprintf(stderr, "unknown dataset %q\n", *dsName)
-		return 2
-	}
-	spec = spec.Scaled(*dataScale)
-	train, test := feddrl.Synthesize(spec, *seed)
-
-	lpc := 2
-	if spec.Classes >= 100 {
-		lpc = 20
-	}
-	r := feddrl.NewRNG(*seed + 1)
-	var assign *feddrl.Assignment
-	switch *partName {
-	case "PA":
-		assign = feddrl.Pareto(train, *clients, lpc, 1.5, r)
-	case "CE":
-		assign = feddrl.ClusteredEqual(train, *clients, *delta, lpc, clusterGroups, r)
-	case "CN":
-		assign = feddrl.ClusteredNonEqual(train, *clients, *delta, lpc, clusterGroups, 1.0, r)
-	case "Equal":
-		assign = feddrl.EqualShards(train, *clients, 2, r)
-	case "Non-equal":
-		assign = feddrl.NonEqualShards(train, *clients, 10, 6, 14, r)
-	default:
-		fmt.Fprintf(stderr, "unknown partition %q\n", *partName)
-		return 2
-	}
-
-	factory := feddrl.MLPFactory(train.Dim, []int{48}, train.NumClasses)
-	kk := *k
-	if kk > *clients {
-		kk = *clients
-	}
-	engineWorkers := *workers
-	if engineWorkers < 0 {
-		engineWorkers = runtime.GOMAXPROCS(0)
-	}
-	// Krum sizes its tolerated-fault count f from the malicious
-	// fraction, so the merger parses once K is clamped.
-	merger, err := feddrl.ParseMerger(*mergerName, *attackFrac, kk)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return 2
-	}
-	cfg := feddrl.RunConfig{
-		Rounds:    *rounds,
-		K:         kk,
-		Local:     feddrl.LocalConfig{Epochs: *epochs, Batch: 10, LR: *lr},
-		Factory:   factory,
-		Seed:      *seed + 2,
-		Workers:   engineWorkers,
-		Precision: prec,
-		Attack:    attack,
-		Merger:    merger,
-	}
-
-	var agg feddrl.Aggregator
-	switch *method {
-	case "SingleSet": // centralized: no aggregator, no clients
-	case "FedAvg":
-		agg = feddrl.FedAvg{}
-	case "FedProx":
-		cfg.Local.ProxMu = 0.01
-		agg = feddrl.FedProx{}
-	case "FedDRL":
-		drlCfg := feddrl.DefaultAgentConfig(kk)
-		drlCfg.Hidden = 64
-		drlCfg.BatchSize = 32
-		drlCfg.WarmupExperiences = 8
-		drlCfg.UpdatesPerRound = 4
-		drlCfg.ExploreStd = *exploreStd
-		drlCfg.ExploreDecay = *exploreDecay
-		drlCfg.Seed = *seed + 4
-		agg = feddrl.NewFedDRL(feddrl.NewAgent(drlCfg))
-	default:
-		fmt.Fprintf(stderr, "unknown method %q\n", *method)
-		return 2
-	}
-	var res *feddrl.Result
-	if agg == nil {
-		res = feddrl.SingleSet(cfg, train, test)
-	} else {
-		pool := feddrl.NewClientPool(train, feddrl.IndexPartition(assign.ClientIndices), factory, *seed+3)
-		res = feddrl.RunVirtual(cfg, pool, test, agg)
-	}
-
-	fmt.Fprintf(stdout, "%s on %s/%s, N=%d K=%d rounds=%d\n", res.Method, spec.Name, *partName, *clients, kk, *rounds)
+	fmt.Fprintf(stdout, "%s on %s/%s, N=%d K=%d rounds=%d\n", res.Method, *dsName, *partName, *clients, min(*k, *clients), *rounds)
 	fmt.Fprintln(stdout, strings.Repeat("-", 48))
 	for i, acc := range res.Accuracy {
 		fmt.Fprintf(stdout, "round %3d  acc %6.2f%%\n", res.AccRounds[i], acc)

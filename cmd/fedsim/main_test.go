@@ -97,6 +97,16 @@ func TestFedsimRejectsInvalidValues(t *testing.T) {
 		{"-clients", "2", "-partition", "CE"},
 		{"-clients", "2", "-partition", "CN"},
 		{"-delta", "1"},
+		{"-datascale", "NaN"},
+		{"-datascale", "0"},
+		{"-datascale", "-1"},
+		{"-datascale", "Inf"},
+		{"-explorestd", "-1"},
+		{"-explorestd", "NaN"},
+		{"-explorestd", "Inf"},
+		{"-exploredecay", "0"},
+		{"-exploredecay", "2"},
+		{"-exploredecay", "NaN"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
@@ -108,5 +118,22 @@ func TestFedsimRejectsInvalidValues(t *testing.T) {
 		if out.Len() != 0 {
 			t.Fatalf("run(%v) wrote to stdout: %q", args, out.String())
 		}
+	}
+}
+
+// TestFedsimZeroExploreNoise pins that -explorestd 0 is a noise-free
+// agent rather than a request for the default noise: with no noise to
+// decay, the decay rate cannot change the run, while with noise it does.
+func TestFedsimZeroExploreNoise(t *testing.T) {
+	args := []string{"-datascale", "0.05", "-rounds", "12", "-clients", "4", "-k", "2", "-epochs", "1"}
+	trim := func(s string) string { return s[:strings.LastIndex(s, "mean decision time")] }
+	report := func(std, decay string) string {
+		return trim(runArgs(t, append(args, "-explorestd", std, "-exploredecay", decay)...))
+	}
+	if report("0", "1") != report("0", "0.5") {
+		t.Fatal("-explorestd 0 run depends on -exploredecay: the agent explores")
+	}
+	if report("0.05", "1") == report("0", "1") {
+		t.Fatal("exploration noise does not reach the run; the zero-noise check has no teeth")
 	}
 }

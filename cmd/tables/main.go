@@ -15,13 +15,17 @@
 //	tables -list
 //
 // Experiment ids are the paper's table/figure numbers (table2, table3,
-// table4, figure4..figure10), the DESIGN.md ablations
-// (ablation-reward, ablation-statenorm, ablation-twostage), and the
-// async-vs-sync substrate comparison (async-sync), whose "+async" rows
-// must reproduce their synchronous base rows exactly, and the Byzantine
-// robustness grid (byzantine): seeded attacks × robust merge rules.
-// -attack/-attack-frac/-merger instead apply one scale-wide fault model
-// and merge rule to any grid experiment's cells.
+// table4, figure4..figure10), the DESIGN.md ablations (ablation-prior,
+// ablation-reward, ablation-statenorm, ablation-twostage), the
+// communication-cost table (comm-overhead), the headline claim
+// (headline), the async-vs-sync substrate comparison (async-sync), whose
+// "+async" rows must reproduce their synchronous base rows exactly, and
+// the Byzantine robustness grid (byzantine): seeded attacks × robust
+// merge rules. -attack/-attack-frac/-merger instead apply one
+// scale-wide fault model and merge rule to any grid experiment's cells.
+// The ablations are grid experiments too: they take -shard, -cache and
+// the scale-wide -attack/-merger, and their reference arms are Table 3
+// cells, served from a cache that holds Table 3.
 //
 // Sharding: a grid experiment's cells are enumerated in a deterministic
 // canonical order, and -shard i/n runs exactly the cells whose position
@@ -149,6 +153,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale, err := feddrl.ScaleByName(*scaleName)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *rounds < 0 {
+		fmt.Fprintf(stderr, "tables: -rounds must be >= 0 (0 keeps the scale's rounds), got %d\n", *rounds)
 		return 2
 	}
 	if *rounds > 0 {

@@ -360,4 +360,7 @@ func TestTablesBadArgs(t *testing.T) {
 	if code := run([]string{"-exp", "nope", "-scale", "ci"}, &out, &errOut); code == 0 {
 		t.Fatal("bad experiment id accepted")
 	}
+	if code := run([]string{"-exp", "table2", "-rounds", "-3"}, &out, &errOut); code != 2 {
+		t.Fatalf("-rounds -3 exited %d, want 2", code)
+	}
 }

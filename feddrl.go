@@ -431,6 +431,9 @@ var (
 	ExperimentNames = experiments.Names
 	// RunExperiment executes a registered table/figure by id.
 	RunExperiment = experiments.Run
+	// RunCell runs one experiment cell at a scale — the path every grid
+	// cell takes — after checking every name it refers to.
+	RunCell = experiments.RunCell
 	// RunExperimentSeeds runs a grid experiment with m seed replicates
 	// per cell and renders mean±std columns (m <= 1 behaves like
 	// RunExperiment).

@@ -2,142 +2,179 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"feddrl/internal/core"
 	"feddrl/internal/dataset"
 	"feddrl/internal/fl"
 	"feddrl/internal/metrics"
-	"feddrl/internal/rng"
 )
 
-// AblationPrior compares the FedAvg-anchored residual parameterization
+// FedDRL agent variants (the suffix after '+' in a cell Method, see
+// parseMethod): each switches off one design choice the ablations judge.
+const (
+	variantPlain    = "plain"    // plain Eq. 5 softmax actions (FedAvgPrior off)
+	variantNoGap    = "nogap"    // Eq. 7 reward without its fairness (max−min) term
+	variantRawState = "rawstate" // unnormalized agent states
+	variantTwoStage = "twostage" // agent pre-trained by the two-stage strategy (§3.4.2)
+)
+
+var agentVariants = []string{variantPlain, variantNoGap, variantRawState, variantTwoStage}
+
+// twoStageWorkers online workers pre-train a "+twostage" agent, then the
+// main agent makes twoStageOffline offline Algorithm 1 calls on their
+// merged buffers.
+const twoStageWorkers, twoStageOffline = 2, 4
+
+// twoStageEpisode is the length in FL rounds of each online worker's one
+// pre-training episode: half the run, at least 3 rounds. Each online
+// step stores one transition (unless it is non-finite) in a buffer far
+// larger than any episode, so it is also each worker's experience count.
+func (s Scale) twoStageEpisode() int { return max(3, s.Rounds/2) }
+
+// newFedDRL builds a cell's FedDRL aggregator: an agent sized to a
+// k-client cohort and seeded with seed, with the given agent variant
+// ("" for the default agent). A "+twostage" agent is pre-trained on
+// simulated FL environments over spec (newFLEnv).
+func (s Scale) newFedDRL(spec dataset.Spec, variant string, k int, seed uint64) *fl.FedDRL {
+	cfg := s.drlConfig(k, seed)
+	switch variant {
+	case variantNoGap:
+		cfg.RewardGapWeight = 0
+	case variantRawState:
+		cfg.NormalizeState = false
+	}
+	var agent *core.Agent
+	if variant == variantTwoStage {
+		episode := s.twoStageEpisode()
+		agent = core.TrainTwoStage(cfg, func(w int, wseed uint64) core.Env {
+			return newFLEnv(s, spec, cfg, wseed+uint64(w)*977, episode)
+		}, twoStageWorkers, episode, twoStageOffline).Agent
+	} else {
+		agent = core.NewAgent(cfg)
+	}
+	agg := fl.NewFedDRL(agent)
+	agg.FedAvgPrior = variant != variantPlain
+	return agg
+}
+
+// ablation is one design-choice ablation (DESIGN.md) as a grid
+// experiment: each arm is a Table 3 cell shape — the CE partition at
+// SmallN clients — whose Method names a variant, so an arm without a
+// variant is the very Table 3 cell and shares its cache record.
+type ablation struct {
+	// title is a format string taking the dataset name.
+	title   string
+	dataset int // index into Scale.datasets()
+	headers []string
+	arms    []ablationArm
+	// columns formats an arm's result columns after its label.
+	columns func(s Scale, method string, a *CellArtifact) []string
+}
+
+type ablationArm struct{ label, method string }
+
+func (ab ablation) cell(s Scale, seed uint64, method string) CellSpec {
+	return table3Spec(s, s.datasets()[ab.dataset].Name, "CE", method, s.SmallN, seed)
+}
+
+func (ab ablation) experiment() Experiment {
+	return Experiment{
+		Jobs: func(s Scale, seed uint64) []CellSpec {
+			var jobs []CellSpec
+			for _, arm := range ab.arms {
+				jobs = append(jobs, ab.cell(s, seed, arm.method))
+			}
+			return jobs
+		},
+		Render: func(s Scale, seed uint64, get ArtifactGetter) string {
+			tab := &metrics.Table{Title: fmt.Sprintf(ab.title, s.datasets()[ab.dataset].Name), Headers: ab.headers}
+			for _, arm := range ab.arms {
+				cols := ab.columns(s, arm.method, get(ab.cell(s, seed, arm.method)))
+				tab.AddRow(append([]string{arm.label}, cols...)...)
+			}
+			return tab.RenderString()
+		},
+	}
+}
+
+// bestFinal is the columns of the ablations that report best and final
+// accuracy.
+func bestFinal(_ Scale, _ string, a *CellArtifact) []string {
+	return []string{metrics.F(a.Best()), metrics.F(a.Final())}
+}
+
+// Dataset indices into Scale.datasets().
+const cifar100, mnist = 0, 2
+
+// ablationPrior compares the FedAvg-anchored residual parameterization
 // (α = softmax(z + log n_k/Σn), the compressed-horizon adaptation in
 // DESIGN.md) against the paper's plain softmax actions (Eq. 5), on the
 // 100-class dataset where the difference is largest.
-func AblationPrior(s Scale, seed uint64) string {
-	spec := s.datasets()[0] // cifar100-sim
-	n := s.SmallN
-	k := n // full participation at the small federation size (§4.1.2)
-	train, test := dataset.Synthesize(spec, seed)
-	assign := buildPartition("CE", train, spec, n, defaultDelta, rng.New(seed+2))
-	cfg := s.runConfig(spec, k, 0, seed+1)
-
-	runWith := func(prior bool) *fl.Result {
-		agg := fl.NewFedDRL(core.NewAgent(s.drlConfig(k, seed+3)))
-		agg.FedAvgPrior = prior
-		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
-		return fl.RunVirtual(cfg, clients, test, agg)
-	}
-	withPrior := runWith(true)
-	without := runWith(false)
-	avg := func() *fl.Result {
-		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
-		return fl.RunVirtual(cfg, clients, test, fl.FedAvg{})
-	}()
-	tab := &metrics.Table{
-		Title:   "Ablation: FedAvg-anchored actions vs plain Eq. 5 softmax, cifar100-sim / CE",
-		Headers: []string{"variant", "best acc", "final acc"},
-	}
-	tab.AddRow("FedAvg baseline", metrics.F(avg.Best()), metrics.F(avg.Final()))
-	tab.AddRow("FedDRL, prior-anchored", metrics.F(withPrior.Best()), metrics.F(withPrior.Final()))
-	tab.AddRow("FedDRL, plain softmax", metrics.F(without.Best()), metrics.F(without.Final()))
-	return tab.RenderString()
+var ablationPrior = ablation{
+	title:   "Ablation: FedAvg-anchored actions vs plain Eq. 5 softmax, %s / CE",
+	dataset: cifar100,
+	headers: []string{"variant", "best acc", "final acc"},
+	arms: []ablationArm{
+		{"FedAvg baseline", "FedAvg"},
+		{"FedDRL, prior-anchored", "FedDRL"},
+		{"FedDRL, plain softmax", "FedDRL+" + variantPlain},
+	},
+	columns: bestFinal,
 }
 
-// runFedDRLVariant runs FedDRL on a CE-partitioned dataset with a
-// modified agent configuration, returning the run result.
-func runFedDRLVariant(s Scale, spec dataset.Spec, seed uint64, modify func(*core.Config), agent *core.Agent) *fl.Result {
-	train, test := dataset.Synthesize(spec, seed)
-	n := s.SmallN
-	k := n // full participation at the small federation size (§4.1.2)
-	assign := buildPartition("CE", train, spec, n, defaultDelta, rng.New(seed+2))
-	if agent == nil {
-		drlCfg := s.drlConfig(k, seed+3)
-		if modify != nil {
-			modify(&drlCfg)
-		}
-		agent = core.NewAgent(drlCfg)
-	}
-	cfg := s.runConfig(spec, k, 0, seed+1)
-	clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
-	return fl.RunVirtual(cfg, clients, test, fl.NewFedDRL(agent))
-}
-
-// AblationRewardGap compares the full Eq. 7 reward against a variant
+// ablationRewardGap compares the full Eq. 7 reward against a variant
 // without the fairness (max−min) term. The fairness term should reduce
 // the variance of client inference losses.
-func AblationRewardGap(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
-	tail := s.Rounds / 4
-	if tail < 1 {
-		tail = 1
-	}
-	full := runFedDRLVariant(s, spec, seed, nil, nil)
-	noGap := runFedDRLVariant(s, spec, seed, func(c *core.Config) { c.RewardGapWeight = 0 }, nil)
-	tab := &metrics.Table{
-		Title:   "Ablation: reward fairness term (Eq. 7 gap component), mnist-sim / CE",
-		Headers: []string{"variant", "best acc", "client loss var (tail)"},
-	}
-	tab.AddRow("full reward (gap w=1)", metrics.F(full.Best()), fmt.Sprintf("%.4f", full.ClientLossVars().Tail(tail)))
-	tab.AddRow("mean-only (gap w=0)", metrics.F(noGap.Best()), fmt.Sprintf("%.4f", noGap.ClientLossVars().Tail(tail)))
-	return tab.RenderString()
+var ablationRewardGap = ablation{
+	title:   "Ablation: reward fairness term (Eq. 7 gap component), %s / CE",
+	dataset: mnist,
+	headers: []string{"variant", "best acc", "client loss var (tail)"},
+	arms: []ablationArm{
+		{"full reward (gap w=1)", "FedDRL"},
+		{"mean-only (gap w=0)", "FedDRL+" + variantNoGap},
+	},
+	columns: func(s Scale, _ string, a *CellArtifact) []string {
+		tail := max(1, s.Rounds/4)
+		return []string{metrics.F(a.Best()), fmt.Sprintf("%.4f", a.LossVar.Tail(tail))}
+	},
 }
 
-// AblationStateNorm compares normalized against raw state encodings
-// (DESIGN.md records normalization as a stability choice the paper leaves
-// unspecified).
-func AblationStateNorm(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
-	norm := runFedDRLVariant(s, spec, seed, nil, nil)
-	raw := runFedDRLVariant(s, spec, seed, func(c *core.Config) { c.NormalizeState = false }, nil)
-	tab := &metrics.Table{
-		Title:   "Ablation: state normalization, mnist-sim / CE",
-		Headers: []string{"variant", "best acc", "final acc"},
-	}
-	tab.AddRow("normalized state", metrics.F(norm.Best()), metrics.F(norm.Final()))
-	tab.AddRow("raw state", metrics.F(raw.Best()), metrics.F(raw.Final()))
-	return tab.RenderString()
+// ablationStateNorm compares normalized against raw state encodings
+// (DESIGN.md records normalization as a stability choice the paper
+// leaves unspecified).
+var ablationStateNorm = ablation{
+	title:   "Ablation: state normalization, %s / CE",
+	dataset: mnist,
+	headers: []string{"variant", "best acc", "final acc"},
+	arms: []ablationArm{
+		{"normalized state", "FedDRL"},
+		{"raw state", "FedDRL+" + variantRawState},
+	},
+	columns: bestFinal,
 }
 
-// AblationTwoStage compares a FedDRL run whose agent was pre-trained with
-// the two-stage strategy (§3.4.2: m online workers on simulated FL
+// ablationTwoStage compares a FedDRL run whose agent was pre-trained
+// with the two-stage strategy (§3.4.2: m online workers on simulated FL
 // environments, then offline training on the merged buffer) against a
 // cold-started agent. Pre-training should help most in early rounds.
-func AblationTwoStage(s Scale, seed uint64) string {
-	spec := dataset.MNISTSim().Scaled(s.DataScale)
-	k := s.SmallN // full participation at the small federation size
-	drlCfg := s.drlConfig(k, seed+3)
-
-	// Stage 1+2: two workers on independently seeded FL environments.
-	episode := s.Rounds / 2
-	if episode < 3 {
-		episode = 3
-	}
-	res := core.TrainTwoStage(drlCfg, func(w int, wseed uint64) core.Env {
-		return newFLEnv(s, spec, drlCfg, wseed+uint64(w)*977, episode)
-	}, 2, episode, 4)
-
-	pre := runFedDRLVariant(s, spec, seed, nil, res.Agent)
-	cold := runFedDRLVariant(s, spec, seed, nil, nil)
-
-	early := len(pre.Accuracy) / 3
-	if early < 1 {
-		early = 1
-	}
-	tab := &metrics.Table{
-		Title:   "Ablation: two-stage pre-training vs cold start, mnist-sim / CE",
-		Headers: []string{"variant", "best acc", "early-rounds mean acc", "worker experiences"},
-	}
-	tab.AddRow("two-stage pre-trained",
-		metrics.F(pre.Best()),
-		metrics.F(pre.Accuracy[:early].Mean()),
-		fmt.Sprintf("%v", res.WorkerExperiences))
-	tab.AddRow("cold start (basic training)",
-		metrics.F(cold.Best()),
-		metrics.F(cold.Accuracy[:early].Mean()),
-		"-")
-	var b strings.Builder
-	b.WriteString(tab.RenderString())
-	return b.String()
+var ablationTwoStage = ablation{
+	title:   "Ablation: two-stage pre-training vs cold start, %s / CE",
+	dataset: mnist,
+	headers: []string{"variant", "best acc", "early-rounds mean acc", "worker experiences"},
+	arms: []ablationArm{
+		{"two-stage pre-trained", "FedDRL+" + variantTwoStage},
+		{"cold start (basic training)", "FedDRL"},
+	},
+	columns: func(s Scale, method string, a *CellArtifact) []string {
+		early := max(1, len(a.Accuracy)/3)
+		experiences := "-"
+		if method == "FedDRL+"+variantTwoStage {
+			perWorker := make([]int, twoStageWorkers)
+			for w := range perWorker {
+				perWorker[w] = s.twoStageEpisode()
+			}
+			experiences = fmt.Sprint(perWorker)
+		}
+		return []string{metrics.F(a.Best()), metrics.F(a.Accuracy[:early].Mean()), experiences}
+	},
 }

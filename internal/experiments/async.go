@@ -16,7 +16,8 @@ import (
 // string ("FedAvg+stale"), so the grid/shard/cache machinery amortizes
 // them like any other cell with no artifact-schema change.
 
-// Async method-variant suffixes (after the '+' in a cell Method).
+// Async method-variant suffixes (after the '+' in a cell Method; see
+// parseMethod).
 const (
 	// asyncModeDegenerate runs RunAsync under InstantArrivals with
 	// staleness decay 1 — bit-identical to RunVirtual by contract.
@@ -24,15 +25,6 @@ const (
 	// asyncModeStale runs a seeded straggler trace with staleness decay.
 	asyncModeStale = "stale"
 )
-
-// asyncVariant splits a cell method id like "FedAvg+stale" into the base
-// aggregation method and the async mode ("" for synchronous cells).
-func asyncVariant(method string) (base, mode string) {
-	if i := strings.IndexByte(method, '+'); i >= 0 {
-		return method[:i], method[i+1:]
-	}
-	return method, ""
-}
 
 // asyncStaleTrace is the fixed straggler trace of the "+stale" cells:
 // half the identities are 8× stragglers with exponential jitter on top
@@ -60,18 +52,15 @@ const asyncStaleDecay = 0.5
 // to the threshold, not K.
 func asyncThreshold(k int) int { return max(2, k/2) }
 
-// asyncConfigFor maps an async mode to its engine configuration.
+// asyncConfigFor maps an async mode to its engine configuration. The
+// degenerate mode keeps the zero values: InstantArrivals, decay 1,
+// threshold K.
 func asyncConfigFor(mode string, cfg fl.RunConfig, k int, seed uint64) fl.AsyncConfig {
 	acfg := fl.AsyncConfig{RunConfig: cfg}
-	switch mode {
-	case asyncModeDegenerate:
-		// Zero values: InstantArrivals, decay 1, threshold K.
-	case asyncModeStale:
+	if mode == asyncModeStale {
 		acfg.Arrival = asyncStaleTrace(seed)
 		acfg.StalenessDecay = asyncStaleDecay
 		acfg.AggregateEvery = asyncThreshold(k)
-	default:
-		panic(fmt.Sprintf("experiments: unknown async mode %q", mode))
 	}
 	return acfg
 }

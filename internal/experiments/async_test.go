@@ -34,17 +34,28 @@ func TestAsyncSyncMicro(t *testing.T) {
 	}
 }
 
-// TestAsyncVariantParsing pins the method-id convention the cache keys
-// depend on.
-func TestAsyncVariantParsing(t *testing.T) {
-	for _, c := range []struct{ in, base, mode string }{
-		{"FedAvg", "FedAvg", ""},
-		{"FedAvg+async", "FedAvg", "async"},
-		{"FedDRL+stale", "FedDRL", "stale"},
+// TestParseMethod pins the method-id convention the cache keys depend
+// on: a base method plus at most one async mode or FedDRL agent variant.
+func TestParseMethod(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want cellMethod
+	}{
+		{"FedAvg", cellMethod{base: "FedAvg"}},
+		{"SingleSet", cellMethod{base: "SingleSet"}},
+		{"FedAvg+async", cellMethod{base: "FedAvg", async: "async"}},
+		{"FedDRL+stale", cellMethod{base: "FedDRL", async: "stale"}},
+		{"FedDRL+plain", cellMethod{base: "FedDRL", agent: "plain"}},
+		{"FedDRL+twostage", cellMethod{base: "FedDRL", agent: "twostage"}},
 	} {
-		base, mode := asyncVariant(c.in)
-		if base != c.base || mode != c.mode {
-			t.Fatalf("asyncVariant(%q) = (%q, %q), want (%q, %q)", c.in, base, mode, c.base, c.mode)
+		got, err := parseMethod(c.in)
+		if err != nil || got != c.want {
+			t.Fatalf("parseMethod(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "feddrl", "FedDRL+", "FedAvg+plain", "SingleSet+async", "FedDRL+nogap+async", "FedProx+twostage"} {
+		if _, err := parseMethod(bad); err == nil {
+			t.Fatalf("parseMethod(%q) accepted", bad)
 		}
 	}
 }

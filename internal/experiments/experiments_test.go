@@ -194,11 +194,8 @@ func TestTable4Micro(t *testing.T) {
 
 func TestAblationsMicro(t *testing.T) {
 	s := microScale()
-	for name, fn := range map[string]Runner{
-		"reward":    AblationRewardGap,
-		"statenorm": AblationStateNorm,
-	} {
-		out := fn(s, 19)
+	for _, name := range []string{"ablation-reward", "ablation-statenorm"} {
+		out := runNamed(name, s, 19)
 		if !strings.Contains(out, "Ablation") {
 			t.Fatalf("%s ablation malformed:\n%s", name, out)
 		}
@@ -209,7 +206,7 @@ func TestAblationTwoStageMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two-stage ablation is the slowest experiment")
 	}
-	out := AblationTwoStage(microScale(), 21)
+	out := runNamed("ablation-twostage", microScale(), 21)
 	if !strings.Contains(out, "two-stage pre-trained") || !strings.Contains(out, "cold start") {
 		t.Fatalf("two-stage ablation malformed:\n%s", out)
 	}
@@ -258,12 +255,16 @@ func TestArtifactStoreHits(t *testing.T) {
 	}
 }
 
-func TestDsByName(t *testing.T) {
+func TestDatasetByName(t *testing.T) {
 	s := microScale()
-	if _, err := dsByName(s, "fashion"); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"fashion", "fashion-sim"} {
+		if spec, err := s.datasetByName(name); err != nil || spec.Name != "fashion-sim" {
+			t.Fatalf("datasetByName(%q) = %q, %v", name, spec.Name, err)
+		}
 	}
-	if _, err := dsByName(s, "imagenet"); err == nil {
-		t.Fatal("unknown dataset did not error")
+	for _, name := range []string{"imagenet", "", "fash", "fashion-sim-sim"} {
+		if _, err := s.datasetByName(name); err == nil {
+			t.Fatalf("datasetByName(%q) accepted", name)
+		}
 	}
 }

@@ -5,13 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"feddrl/internal/core"
-	"feddrl/internal/dataset"
-	"feddrl/internal/fl"
 	"feddrl/internal/metrics"
-	"feddrl/internal/nn"
-	"feddrl/internal/partition"
-	"feddrl/internal/rng"
 )
 
 // Figure9 reproduces the server computation-time study: the per-round
@@ -26,53 +20,23 @@ func Figure9(s Scale, seed uint64) string {
 	tab := &metrics.Table{
 		Headers: []string{"model", "params", "DRL decision", "aggregation"},
 	}
-	type modelCase struct {
+	// The timing cells: FedDRL on CE at SmallN clients with the paper's
+	// convolutional models and one local epoch, over half the rounds,
+	// evaluating only at the end (a timing study skips most
+	// evaluations).
+	t := s
+	t.UseConvNets = true
+	t.Epochs = 1
+	t.Rounds = max(3, s.Rounds/2)
+	t.EvalEvery = t.Rounds
+	for _, mc := range []struct {
 		name    string
-		factory nn.Factory
-		spec    dataset.Spec
-	}
-	mnist := dataset.MNISTSim().Scaled(s.DataScale)
-	cifar := dataset.CIFAR100Sim().Scaled(s.DataScale)
-	cases := []modelCase{
-		{
-			name: "SimpleCNN",
-			factory: func(sd uint64) *nn.Network {
-				sh := mnist.Shape
-				return nn.NewSimpleCNN(rng.New(sd), sh.C, sh.H, sh.W, mnist.Classes)
-			},
-			spec: mnist,
-		},
-		{
-			name: "VGGMini",
-			factory: func(sd uint64) *nn.Network {
-				sh := cifar.Shape
-				return nn.NewVGGMini(rng.New(sd), sh.C, sh.H, sh.W, cifar.Classes)
-			},
-			spec: cifar,
-		},
-	}
-	rounds := s.Rounds / 2
-	if rounds < 3 {
-		rounds = 3
-	}
-	for _, mc := range cases {
-		train, test := dataset.Synthesize(mc.spec, seed)
-		assign := partition.ClusteredEqual(train, s.SmallN, defaultDelta, labelsPerClient(mc.spec), numGroups, rng.New(seed+5))
-		cfg := fl.RunConfig{
-			Rounds:    rounds,
-			K:         s.K,
-			Local:     fl.LocalConfig{Epochs: 1, Batch: s.Batch, LR: s.LR},
-			Factory:   mc.factory,
-			Seed:      seed + 6,
-			EvalEvery: rounds, // timing study; skip most evaluations
+		dataset int
+	}{{"SimpleCNN", mnist}, {"VGGMini", cifar100}} {
+		res, err := RunCell(t, table3Spec(t, t.datasets()[mc.dataset].Name, "CE", "FedDRL", t.SmallN, seed))
+		if err != nil {
+			panic(err)
 		}
-		k := cfg.K
-		if k > s.SmallN {
-			k = s.SmallN
-		}
-		agent := core.NewAgent(s.drlConfig(k, seed+7))
-		clients := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+8)
-		res := fl.RunVirtual(cfg, clients, test, fl.NewFedDRL(agent))
 		tab.AddRow(mc.name,
 			fmt.Sprintf("%d", res.NumParam),
 			fmtDur(res.MeanDecisionTime()),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"feddrl/internal/dataset"
 	"feddrl/internal/mathx"
 	"feddrl/internal/metrics"
 )
@@ -323,13 +322,3 @@ func renderFigure10(s Scale, seed uint64, get ArtifactGetter) string {
 
 // Figure10 runs the Fig. 10 grid in-process.
 func Figure10(s Scale, seed uint64) string { return runNamed("figure10", s, seed) }
-
-// dsByName finds a scaled dataset spec by prefix (helper for tools).
-func dsByName(s Scale, name string) (dataset.Spec, error) {
-	for _, spec := range s.datasets() {
-		if strings.HasPrefix(spec.Name, name) {
-			return spec, nil
-		}
-	}
-	return dataset.Spec{}, fmt.Errorf("experiments: unknown dataset %q", name)
-}

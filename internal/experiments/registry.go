@@ -7,7 +7,7 @@ import (
 
 // Runner executes one experiment at a scale and returns its rendered
 // text output. Monolithic experiments (pure partition statistics,
-// timing studies, the ablations) are registered as Runners; grid
+// timing studies) are registered as Runners; grid
 // experiments decompose further — see Experiment.
 type Runner func(s Scale, seed uint64) string
 
@@ -56,10 +56,10 @@ var Registry = map[string]Experiment{
 		Jobs: figure10Jobs, Render: renderFigure10,
 	},
 	"table4":             {Jobs: table4Jobs, Render: renderTable4},
-	"ablation-reward":    mono(AblationRewardGap),
-	"ablation-statenorm": mono(AblationStateNorm),
-	"ablation-twostage":  mono(AblationTwoStage),
-	"ablation-prior":     mono(AblationPrior),
+	"ablation-reward":    ablationRewardGap.experiment(),
+	"ablation-statenorm": ablationStateNorm.experiment(),
+	"ablation-twostage":  ablationTwoStage.experiment(),
+	"ablation-prior":     ablationPrior.experiment(),
 	"comm-overhead":      mono(CommOverhead),
 	"headline":           {Jobs: headlineJobs, Render: renderHeadline},
 	"async-sync":         {Jobs: asyncSyncJobs, Render: renderAsyncSync},

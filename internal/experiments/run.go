@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"feddrl/internal/core"
 	"feddrl/internal/dataset"
@@ -24,22 +26,31 @@ const defaultDelta = 0.6
 // numGroups is the cluster count of the CE/CN partitions.
 const numGroups = 3
 
+// partitioners builds each named partition over a training set of n
+// clients holding lpc labels each; delta applies to the clustered
+// partitions only.
+var partitioners = map[string]func(d *dataset.Dataset, n, lpc int, delta float64, r *rng.RNG) *partition.Assignment{
+	"PA": func(d *dataset.Dataset, n, lpc int, _ float64, r *rng.RNG) *partition.Assignment {
+		return partition.Pareto(d, n, lpc, 1.5, r)
+	},
+	"CE": func(d *dataset.Dataset, n, lpc int, delta float64, r *rng.RNG) *partition.Assignment {
+		return partition.ClusteredEqual(d, n, delta, lpc, numGroups, r)
+	},
+	"CN": func(d *dataset.Dataset, n, lpc int, delta float64, r *rng.RNG) *partition.Assignment {
+		return partition.ClusteredNonEqual(d, n, delta, lpc, numGroups, 1.0, r)
+	},
+	"Equal": func(d *dataset.Dataset, n, _ int, _ float64, r *rng.RNG) *partition.Assignment {
+		return partition.EqualShards(d, n, 2, r)
+	},
+	"Non-equal": func(d *dataset.Dataset, n, _ int, _ float64, r *rng.RNG) *partition.Assignment {
+		return partition.NonEqualShards(d, n, 10, 6, 14, r)
+	},
+}
+
 // buildPartition constructs the named partition over the training set.
+// The name must already have passed checkCell.
 func buildPartition(name string, train *dataset.Dataset, spec dataset.Spec, n int, delta float64, r *rng.RNG) *partition.Assignment {
-	lpc := labelsPerClient(spec)
-	switch name {
-	case "PA":
-		return partition.Pareto(train, n, lpc, 1.5, r)
-	case "CE":
-		return partition.ClusteredEqual(train, n, delta, lpc, numGroups, r)
-	case "CN":
-		return partition.ClusteredNonEqual(train, n, delta, lpc, numGroups, 1.0, r)
-	case "Equal":
-		return partition.EqualShards(train, n, 2, r)
-	case "Non-equal":
-		return partition.NonEqualShards(train, n, 10, 6, 14, r)
-	}
-	panic(fmt.Sprintf("experiments: unknown partition %q", name))
+	return partitioners[name](train, n, labelsPerClient(spec), delta, r)
 }
 
 // drlConfig sizes the agent per Table 1, shrunk by the scale.
@@ -49,15 +60,53 @@ func (s Scale) drlConfig(k int, seed uint64) core.Config {
 	cfg.BatchSize = s.DRLBatch
 	cfg.UpdatesPerRound = s.DRLUpdates
 	cfg.WarmupExperiences = s.DRLWarmup
-	if s.DRLExploreStd > 0 {
-		cfg.ExploreStd = s.DRLExploreStd
-	}
-	if s.DRLExploreDecay > 0 {
-		cfg.ExploreDecay = s.DRLExploreDecay
-	}
+	cfg.ExploreStd = s.DRLExploreStd
+	cfg.ExploreDecay = s.DRLExploreDecay
 	cfg.BufferCap = 4096
 	cfg.Seed = seed
 	return cfg
+}
+
+// cellMethod is a parsed cell Method: a base method of Methods plus at
+// most one "+variant" suffix, either an async mode (see async.go) or a
+// FedDRL agent variant (see ablation.go). Variants live in the Method
+// string so a variant cell keeps the legacy 7-field key.
+type cellMethod struct {
+	base  string
+	async string
+	agent string
+}
+
+// parseMethod resolves a cell Method, rejecting an unknown base method
+// and a variant its base does not support.
+func parseMethod(method string) (cellMethod, error) {
+	base, variant, hasVariant := strings.Cut(method, "+")
+	m := cellMethod{base: base}
+	switch {
+	case !slices.Contains(Methods, base):
+		return m, fmt.Errorf("experiments: unknown method %q (want SingleSet, FedAvg, FedProx or FedDRL)", method)
+	case !hasVariant:
+	case base != "SingleSet" && (variant == asyncModeDegenerate || variant == asyncModeStale):
+		m.async = variant
+	case base == "FedDRL" && slices.Contains(agentVariants, variant):
+		m.agent = variant
+	default:
+		return m, fmt.Errorf("experiments: method %q: %s has no variant %q", method, base, variant)
+	}
+	return m, nil
+}
+
+// RunCell runs one cell at scale s on its own: it checks every name the
+// cell refers to (checkCell), synthesizes the cell's data and runs it on
+// the scale's Workers, with no store or cache around it. The dataset
+// may be given by its short name ("mnist").
+func RunCell(s Scale, cell CellSpec) (*fl.Result, error) {
+	if err := checkCell(s, cell); err != nil {
+		return nil, err
+	}
+	spec, _ := s.datasetByName(cell.Dataset)
+	train, test := dataset.Synthesize(spec, cell.Seed)
+	return runMethodOn(s, spec, cell, train, test, nil), nil
 }
 
 // runMethodOn executes one cell on a shared engine pool and returns its
@@ -74,12 +123,15 @@ func (s Scale) drlConfig(k int, seed uint64) core.Config {
 // keeps (Dataset, Method, Seed). The federated branches read the whole
 // spec; the cell's effective attack and merger (Scale.faults) configure
 // Byzantine fault injection and the robust merge rule, both defaulting
-// to the benign, byte-identical historical behavior. Their names must
-// already have passed checkFaults.
+// to the benign, byte-identical historical behavior. Every name the
+// cell refers to must already have passed checkCell.
 func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, train, test *dataset.Dataset, pool *engine.Pool) *fl.Result {
-	partName, method := cell.Partition, cell.Method
-	n, k, delta, seed := cell.N, cell.K, cell.Delta, cell.Seed
-	if method == "SingleSet" {
+	n, k, seed := cell.N, cell.K, cell.Seed
+	method, err := parseMethod(cell.Method)
+	if err != nil {
+		panic(err)
+	}
+	if method.base == "SingleSet" {
 		// The centralized run has no cohort; K = 1 only satisfies
 		// RunConfig.Validate. The baseline borrows the same pool as the
 		// federated cells, so its kernel/eval parallelism — and
@@ -94,42 +146,34 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, train, test *dataset
 	if n <= s.SmallN {
 		k = n
 	}
-	if k > n {
-		k = n
-	}
-	r := rng.New(seed + 2)
-	assign := buildPartition(partName, train, spec, n, delta, r)
+	k = min(k, n)
+	assign := buildPartition(cell.Partition, train, spec, n, cell.Delta, rng.New(seed+2))
 
-	// A "+mode" suffix selects the asynchronous engine (see async.go);
-	// the base method picks the aggregator as before. FedDRL's impact
-	// computation is fixed-width, so its agent is sized to the cohort
-	// the server actually merges: the async threshold for "+stale"
-	// cells, K otherwise.
-	base, mode := asyncVariant(method)
+	// FedDRL's impact computation is fixed-width, so its agent is sized
+	// to the cohort the server actually merges: the async threshold for
+	// "+stale" cells, K otherwise.
 	aggCohort := k
-	if mode == asyncModeStale {
+	if method.async == asyncModeStale {
 		aggCohort = asyncThreshold(k)
 	}
 
 	proxMu := 0.0
 	var agg fl.Aggregator
-	switch base {
+	switch method.base {
 	case "FedAvg":
 		agg = fl.FedAvg{}
 	case "FedProx":
 		agg = fl.FedProx{}
 		proxMu = s.ProxMu
 	case "FedDRL":
-		agg = fl.NewFedDRL(core.NewAgent(s.drlConfig(aggCohort, seed+3)))
-	default:
-		panic(fmt.Sprintf("experiments: unknown method %q", method))
+		agg = s.newFedDRL(spec, method.agent, aggCohort, seed+3)
 	}
 	cfg := s.runConfig(spec, k, proxMu, seed+1)
 	cfg.Pool = pool
 	// Byzantine cells: the attack seed stays 0 (derived from the run
 	// seed), so a cell's fault trace is as reproducible as everything
 	// else keyed off its CellSpec. Krum's tolerance is sized to the
-	// declared malicious fraction of the merge cohort. checkFaults has
+	// declared malicious fraction of the merge cohort. checkCell has
 	// already rejected every name these parsers would.
 	attackName, attackFrac, mergerName := s.faults(cell)
 	cfg.Attack, _ = fl.ParseAttack(attackName, attackFrac)
@@ -137,8 +181,8 @@ func runMethodOn(s Scale, spec dataset.Spec, cell CellSpec, train, test *dataset
 	// Virtual clients: only the K selected identities occupy client
 	// state at a time, so a cell's memory is O(K) in its client count.
 	cp := fl.NewClientPool(train, fl.IndexPartition(assign.ClientIndices), cfg.Factory, seed+4)
-	if mode != "" {
-		ar, err := fl.RunAsync(asyncConfigFor(mode, cfg, k, seed), cp, test, agg)
+	if method.async != "" {
+		ar, err := fl.RunAsync(asyncConfigFor(method.async, cfg, k, seed), cp, test, agg)
 		if err != nil {
 			// Grid traces are drop-free by construction (asyncStaleTrace
 			// sets no OfflineFrac/DropRate), so starvation here means the
@@ -160,20 +204,29 @@ func (s Scale) faults(cell CellSpec) (attack string, frac float64, merger string
 	return cell.Attack, cell.AttackFrac, cell.Merger
 }
 
-// checkFaults validates every job's effective attack and merger, so a
-// bad name fails the grid with an error before any cell runs instead of
-// panicking inside a pool lane.
-func checkFaults(s Scale, jobs []CellSpec) error {
-	for _, j := range jobs {
-		attack, frac, merger := s.faults(j)
-		if _, err := fl.ParseAttack(attack, frac); err != nil {
-			return fmt.Errorf("experiments: cell %s: %w", j.Key(), err)
-		}
-		if _, err := fl.ParseMerger(merger, frac, 1); err != nil {
-			return fmt.Errorf("experiments: cell %s: %w", j.Key(), err)
-		}
+// checkCell resolves every name a cell run refers to — its dataset,
+// partition, method and variant, effective attack and merger, and the
+// scale's precision — so a bad name fails with an error before any work
+// starts instead of panicking inside a pool lane.
+func checkCell(s Scale, cell CellSpec) error {
+	if _, err := fl.ParsePrecision(s.Precision); err != nil {
+		return err
 	}
-	return nil
+	if _, err := s.datasetByName(cell.Dataset); err != nil {
+		return err
+	}
+	if partitioners[cell.Partition] == nil {
+		return fmt.Errorf("experiments: unknown partition %q (want PA, CE, CN, Equal or Non-equal)", cell.Partition)
+	}
+	if _, err := parseMethod(cell.Method); err != nil {
+		return err
+	}
+	attack, frac, merger := s.faults(cell)
+	if _, err := fl.ParseAttack(attack, frac); err != nil {
+		return err
+	}
+	_, err := fl.ParseMerger(merger, frac, 1)
+	return err
 }
 
 // artifactStore executes cell jobs and caches their artifacts within one
@@ -262,7 +315,8 @@ func (st *artifactStore) synthesize(runs [][]CellSpec) map[inputKey]cellInputs {
 	}
 	data := make([]cellInputs, len(keys))
 	st.pool.For(len(keys), func(i int) {
-		data[i].train, data[i].test = dataset.Synthesize(st.s.datasetByName(keys[i].dataset), keys[i].seed)
+		spec, _ := st.s.datasetByName(keys[i].dataset) // checked by prefetch
+		data[i].train, data[i].test = dataset.Synthesize(spec, keys[i].seed)
 	})
 	st.syntheses += len(keys)
 	for i, k := range keys {
@@ -271,8 +325,8 @@ func (st *artifactStore) synthesize(runs [][]CellSpec) map[inputKey]cellInputs {
 	return inputs
 }
 
-// prefetch brings every job into the store, or returns the first bad
-// attack/merger name before doing any work. The on-disk cache is
+// prefetch brings every job into the store, or returns the first job
+// checkCell rejects before doing any work. The on-disk cache is
 // consulted sequentially first (I/O, not compute). Each remaining cell
 // whose computation the store already holds gets a copy of it; the
 // rest run once per distinct computation key, on datasets synthesized
@@ -283,8 +337,10 @@ func (st *artifactStore) synthesize(runs [][]CellSpec) map[inputKey]cellInputs {
 // their rendering loop will get(): a cell missing from the job list
 // still computes correctly, just on its own.
 func (st *artifactStore) prefetch(jobs []CellSpec) error {
-	if err := checkFaults(st.s, jobs); err != nil {
-		return err
+	for _, j := range jobs {
+		if err := checkCell(st.s, j); err != nil {
+			return fmt.Errorf("experiments: cell %s: %w", j.Key(), err)
+		}
 	}
 	// runs[i] lists the cells sharing one computation; runs[i][0] runs.
 	var runs [][]CellSpec
@@ -320,7 +376,8 @@ func (st *artifactStore) prefetch(jobs []CellSpec) error {
 	st.pool.For(len(runs), func(i int) {
 		run := runs[i][0]
 		in := inputs[inputKey{run.Dataset, run.Seed}]
-		res := runMethodOn(st.s, st.s.datasetByName(run.Dataset), run, in.train, in.test, st.pool)
+		spec, _ := st.s.datasetByName(run.Dataset)
+		res := runMethodOn(st.s, spec, run, in.train, in.test, st.pool)
 		for _, m := range runs[i] {
 			a := artifactOf(m, res)
 			results[i] = append(results[i], a)

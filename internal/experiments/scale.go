@@ -182,15 +182,16 @@ func (s Scale) datasets() []dataset.Spec {
 	}
 }
 
-// datasetByName resolves one of the scale's dataset specs by exact name
-// (the executable form of CellSpec.Dataset).
-func (s Scale) datasetByName(name string) dataset.Spec {
+// datasetByName resolves one of the scale's dataset specs by its name
+// ("mnist-sim", the executable form of CellSpec.Dataset) or by that
+// name without its "-sim" suffix ("mnist").
+func (s Scale) datasetByName(name string) (dataset.Spec, error) {
 	for _, spec := range s.datasets() {
-		if spec.Name == name {
-			return spec
+		if name == spec.Name || name+"-sim" == spec.Name {
+			return spec, nil
 		}
 	}
-	panic(fmt.Sprintf("experiments: unknown dataset %q in cell spec", name))
+	return dataset.Spec{}, fmt.Errorf("experiments: unknown dataset %q (want cifar100, fashion or mnist)", name)
 }
 
 // labelsPerClient mirrors §4.1.1: 2 labels per client, 20 for the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -209,5 +210,83 @@ func TestBadFaultNamesReturnError(t *testing.T) {
 				t.Errorf("cells ran before the bad name was reported: %+v", st)
 			}
 		})
+	}
+}
+
+// TestAblationArmsAreTable3Cells: an ablation arm without a variant is
+// the Table 3 cell itself. Against a warm table3 cache the four
+// ablations are served exactly their five reference arms (prior: FedAvg
+// and FedDRL on cifar100; reward, statenorm, twostage: FedDRL on mnist)
+// and compute only their four variants, and each reference arm computed
+// on its own equals the table3 grid's artifact bit for bit.
+func TestAblationArmsAreTable3Cells(t *testing.T) {
+	s := microScale()
+	const seed = 5
+	dir := t.TempDir()
+	cache, err := OpenCache(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCached("table3", s, seed, cache); err != nil {
+		t.Fatal(err)
+	}
+	warm := cache.Stats()
+	var refs []CellSpec
+	for _, id := range []string{"ablation-prior", "ablation-reward", "ablation-statenorm", "ablation-twostage"} {
+		if _, err := RunCached(id, s, seed, cache); err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range Registry[id].Jobs(s, seed) {
+			if !strings.Contains(j.Method, "+") {
+				refs = append(refs, j)
+			}
+		}
+	}
+	st := cache.Stats()
+	if hits, misses := st.Hits-warm.Hits, st.Misses-warm.Misses; hits != 5 || misses != 4 || len(refs) != 5 {
+		t.Fatalf("ablations on a warm table3 cache: %d hits, %d misses, %d reference arms; want 5, 4, 5", hits, misses, len(refs))
+	}
+	table3, err := OpenCache(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := newStoreCached(s, table3)
+	defer cached.close()
+	fresh := newStore(s)
+	defer fresh.close()
+	grid := table3Jobs(s, seed)
+	for _, j := range refs {
+		if !slices.Contains(grid, j) {
+			t.Fatalf("reference arm %s is not a table3 cell", j.Key())
+		}
+		if !sameBits(fresh.get(j), cached.get(j)) {
+			t.Fatalf("reference arm %s differs from its table3 artifact", j.Key())
+		}
+	}
+}
+
+// TestUnknownCellNamesReturnError: a cell naming an unknown dataset,
+// partition, method or variant fails the grid store and RunCell with an
+// error before any work, instead of panicking inside a pool lane.
+func TestUnknownCellNamesReturnError(t *testing.T) {
+	s := microScale()
+	good := table3Spec(s, "mnist-sim", "CE", "FedDRL", s.SmallN, 1)
+	for _, bad := range []func(*CellSpec){
+		func(c *CellSpec) { c.Dataset = "imagenet" },
+		func(c *CellSpec) { c.Partition = "XX" },
+		func(c *CellSpec) { c.Method = "FedSGD" },
+		func(c *CellSpec) { c.Method = "FedAvg+twostage" },
+		func(c *CellSpec) { c.Attack, c.AttackFrac = "bogus", 0.2 },
+	} {
+		cell := good
+		bad(&cell)
+		st := newStore(s)
+		if err := st.prefetch([]CellSpec{good, cell}); err == nil || st.runs != 0 {
+			t.Fatalf("prefetch of %s: err %v after %d runs, want an error before any run", cell.Key(), err, st.runs)
+		}
+		st.close()
+		if _, err := RunCell(s, cell); err == nil {
+			t.Fatalf("RunCell(%s) accepted", cell.Key())
+		}
 	}
 }
